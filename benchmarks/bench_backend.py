@@ -1,7 +1,7 @@
 """NumPy reference vs numba JIT backend (the backend-seam gate).
 
 Times the branch-heavy kernels the JIT backend exists for, at
-campaign-representative widths, under both registered CPU backends:
+campaign-representative widths, under both backends:
 
 * ``numpy`` — the bit-parity reference: generic kernel compositions
   (blocked one-hot census sweeps, the flattened Kahn peel, the lockstep

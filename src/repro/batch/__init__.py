@@ -28,17 +28,15 @@ The subsystem behind the library's instance-parallel workloads:
   :mod:`repro.equilibria.potential` and the census half of
   :mod:`repro.analysis.cycles` are their ``B = 1`` views;
 * :mod:`repro.batch.generator`   — one-pass vectorised instance drawing;
-* :mod:`repro.batch.backend`     — the pluggable array-namespace seam
-  every kernel above draws its ops from (NumPy reference, Numba JIT,
-  optional GPU stubs).
+* :mod:`repro.batch.backend`     — the fused-hook seam: the kernels
+  above are NumPy code, and the ``numba`` backend may take over their
+  branch-heavy loops (census, nashification, dynamics, fixed point).
 """
 
 from repro.batch.backend import (
     ArrayBackend,
     available_backends,
-    backend_names,
     get_backend,
-    register_backend,
     set_backend,
     use_backend,
 )
@@ -105,9 +103,7 @@ from repro.batch.poa import (
 __all__ = [
     "ArrayBackend",
     "available_backends",
-    "backend_names",
     "get_backend",
-    "register_backend",
     "set_backend",
     "use_backend",
     "GameBatch",

@@ -492,10 +492,10 @@ def _c_i64(arr) -> np.ndarray:
 
 
 class NumbaBackend(ArrayBackend):
-    """NumPy namespace plus compiled fused loops for the branchy paths."""
+    """Compiled fused loops for the branchy paths."""
 
     def __init__(self) -> None:
-        super().__init__(module=np, name="numba")
+        super().__init__(name="numba")
 
     def scatter_loads(self, sigma, weights, num_links, initial_traffic=None):
         loads = _scatter_loads(_c_i64(sigma), _c_f64(weights), num_links)

@@ -1,69 +1,38 @@
-"""Pluggable array backends behind the ``(B, n, m)`` batch kernels.
+"""The array-backend seam behind the ``(B, n, m)`` batch kernels.
 
-The batch engine's kernels only use a small, fixed vocabulary of array
-operations (:data:`PROTOCOL_OPS` — broadcasting arithmetic helpers,
-``bincount``/segment sums, ``argmax``/``argmin`` selection, masking,
-stacked ``linalg`` solves, reductions). This module turns that
-vocabulary into an explicit seam: every kernel resolves its namespace
-through :func:`get_backend` instead of importing :mod:`numpy` directly,
-so the same kernel source runs on
+The batch kernels are NumPy code. What a backend may replace is a fixed
+set of *fused-kernel hooks* (:data:`FUSED_HOOKS`): each hook is ``None``
+by default, meaning the NumPy composition in the kernel module runs; a
+backend that sets a hook takes over that whole computation, under the
+contract in the hook's docstring on :class:`ArrayBackend`. Two backends
+exist:
 
-* ``numpy``  — the **bit-parity reference**. The namespace *is* the
-  :mod:`numpy` module (attribute delegation), so kernels behave
-  operation for operation exactly as before the seam existed; every
-  frozen seed baseline and the service differential suite stay
-  byte-identical under it.
-* ``numba``  — a JIT backend (``pip install repro[jit]``) that keeps the
-  dense BLAS-shaped ops on NumPy but replaces the branch-heavy fused
-  loops BLAS cannot help — the ``m^n`` pure-NE census, the
-  response-cycle census peel, lockstep nashification and best-response
-  dynamics — with compiled per-game loops
-  (:mod:`repro.batch._numba_backend`). Gated by tolerance-based
-  differential tests, never by byte identity.
-* ``cupy`` / ``jax`` — GPU stubs that register **only when the library
-  imports**; they delegate the namespace to ``cupy`` / ``jax.numpy``
-  and inherit the generic kernel compositions. On hosts without the
-  libraries they are reported unavailable and their differential tests
-  skip with a visible reason instead of failing.
+* ``numpy`` — the **bit-parity reference**: every hook is ``None``, so
+  every frozen seed baseline and the service differential suite are
+  pinned under it.
+* ``numba`` — a JIT backend (``pip install repro[jit]``) that replaces
+  the branch-heavy fused loops BLAS cannot help — the ``m^n`` pure-NE
+  census, the response-cycle census peel, lockstep nashification,
+  best-response dynamics and the fixed-point round loop — with compiled
+  per-game loops (:mod:`repro.batch._numba_backend`). Gated by
+  differential tests against the reference, never by byte identity.
 
-Backends are looked up by name. Resolution precedence:
+Resolution precedence:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` call — the CLI
    ``--backend`` flag lands here (and exports :data:`ENV_VAR` so
    process-pool campaign workers inherit the choice);
 2. the :data:`ENV_VAR` (``REPRO_BACKEND``) environment variable;
 3. the default, ``numpy``.
-
-Beyond the primitive namespace, a backend may implement *fused-kernel
-hooks* (:data:`FUSED_HOOKS`). Each hook is ``None`` by default, meaning
-"compose me from primitives" — the generic kernel path runs. A backend
-that sets a hook takes over that whole computation; the contract is the
-hook's docstring on :class:`ArrayBackend`. This is how the Numba backend
-accelerates exactly the loops that resist vectorisation without forking
-any kernel logic.
-
-Adding a backend::
-
-    from repro.batch import backend
-
-    class MyBackend(backend.ArrayBackend):
-        def __init__(self):
-            super().__init__(module=my_namespace, name="mine")
-
-    backend.register_backend("mine", MyBackend)
-
-and select it with ``REPRO_BACKEND=mine`` or ``--backend mine``.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
-import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
-
-import numpy as np
 
 from repro.errors import BackendError
 
@@ -72,13 +41,8 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ENV_VAR",
     "FUSED_HOOKS",
-    "OPTIONAL_BACKENDS",
-    "PROTOCOL_OPS",
     "available_backends",
-    "backend_names",
-    "check_protocol",
     "get_backend",
-    "register_backend",
     "set_backend",
     "use_backend",
 ]
@@ -88,32 +52,8 @@ DEFAULT_BACKEND = "numpy"
 #: Environment variable naming the default backend for a process tree.
 ENV_VAR = "REPRO_BACKEND"
 
-#: The primitive array vocabulary the batch kernels are written against.
-#: ``check_protocol`` verifies a namespace resolves every op; nothing
-#: outside this list (plus the ``linalg`` sub-namespace) is required of
-#: a backend's module.
-PROTOCOL_OPS = (
-    # construction / conversion
-    "asarray", "ascontiguousarray", "array", "zeros", "empty", "full",
-    "ones", "arange", "repeat", "stack", "concatenate",
-    # broadcasting / indexing
-    "broadcast_to", "broadcast_shapes", "take_along_axis",
-    "put_along_axis", "where", "nonzero", "flatnonzero", "unique",
-    "argsort",
-    # selection / segment sums
-    "argmax", "argmin", "bincount", "cumsum",
-    # elementwise / masking
-    "maximum", "minimum", "clip", "abs", "log", "isfinite", "sign",
-    "round", "power", "swapaxes", "logical_and",
-    # reductions / contractions
-    "all", "any", "matmul", "tensordot",
-)
-
-#: ``linalg`` ops the stacked support-enumeration solver uses.
-PROTOCOL_LINALG_OPS = ("solve", "svd", "det", "lstsq", "norm")
-
 #: Optional fused-kernel hooks a backend may implement (``None`` means
-#: the generic composed implementation runs). See :class:`ArrayBackend`.
+#: the generic NumPy implementation runs). See :class:`ArrayBackend`.
 FUSED_HOOKS = (
     "scatter_loads",
     "count_pure_nash",
@@ -124,21 +64,11 @@ FUSED_HOOKS = (
     "fixpoint_loop",
 )
 
-#: Backends whose availability is always reported (even before their
-#: lazy registration probe has run).
-OPTIONAL_BACKENDS = ("numba", "cupy", "jax")
-
 
 class ArrayBackend:
-    """A named array namespace plus optional fused-kernel hooks.
+    """A named set of fused-kernel hooks; the base class is ``numpy``.
 
-    The base class delegates every attribute in :data:`PROTOCOL_OPS`
-    (and anything else the kernels reach for) to *module* — with the
-    default ``module=numpy`` this is the bit-parity reference backend:
-    ``backend.bincount`` *is* :func:`numpy.bincount`.
-
-    Fused-kernel hooks (all ``None`` here) let a subclass take over a
-    whole branch-heavy computation. Signatures (arrays are C-contiguous
+    Every hook is ``None`` here. Signatures (arrays are C-contiguous
     ``float64`` / ``intp`` unless noted; every hook must reproduce the
     generic path's *verdicts* — trajectories bit for bit where the
     generic kernel documents trajectory parity):
@@ -178,7 +108,7 @@ class ArrayBackend:
         index-order accumulations by design).
     """
 
-    #: hooks — ``None`` selects the generic composed kernel.
+    #: hooks — ``None`` selects the generic NumPy kernel.
     scatter_loads: Callable[..., Any] | None = None
     count_pure_nash: Callable[..., Any] | None = None
     exists_pure_nash: Callable[..., Any] | None = None
@@ -187,121 +117,52 @@ class ArrayBackend:
     census_cycle: Callable[..., Any] | None = None
     fixpoint_loop: Callable[..., Any] | None = None
 
-    def __init__(self, module: Any = np, name: str = "numpy") -> None:
-        self.module = module
+    def __init__(self, name: str = DEFAULT_BACKEND) -> None:
         self.name = name
 
-    def __getattr__(self, op: str) -> Any:
-        # Only consulted for attributes not found on the instance/class:
-        # the primitive-namespace delegation.
-        return getattr(self.module, op)
-
-    @property
-    def linalg(self) -> Any:
-        return self.module.linalg
-
     def __repr__(self) -> str:
-        return f"<ArrayBackend {self.name!r} ({self.module.__name__})>"
+        return f"<ArrayBackend {self.name!r}>"
 
 
-def check_protocol(backend: ArrayBackend) -> list[str]:
-    """Ops of :data:`PROTOCOL_OPS` the backend fails to resolve.
-
-    An empty list means the namespace is complete; used by the
-    registration tests and useful when bringing up a new backend.
-    """
-    missing = [op for op in PROTOCOL_OPS if not hasattr(backend, op)]
+def _numba_factory() -> ArrayBackend:
     try:
-        lin = backend.linalg
-    except AttributeError:
-        missing.append("linalg")
-    else:
-        missing.extend(
-            f"linalg.{op}"
-            for op in PROTOCOL_LINALG_OPS
-            if not hasattr(lin, op)
-        )
-    return missing
+        from repro.batch._numba_backend import NumbaBackend
+    except ImportError as exc:
+        raise BackendError(
+            "backend 'numba' requires the numba package — install the "
+            "JIT extra: pip install 'repro-network-uncertainty[jit]'"
+        ) from exc
+    return NumbaBackend()
 
 
-# ---------------------------------------------------------------------- #
-# registry and resolution
-# ---------------------------------------------------------------------- #
-
-_LOCK = threading.Lock()
-_REGISTRY: dict[str, Callable[[], ArrayBackend]] = {}
-_PROBES: dict[str, Callable[[], bool]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
+#: Backend name -> factory. Fixed: nothing adds or removes entries.
+_FACTORIES: dict[str, Callable[[], ArrayBackend]] = {
+    "numpy": ArrayBackend,
+    "numba": _numba_factory,
+}
 #: The explicitly selected backend name (CLI/set_backend); overrides env.
 _EXPLICIT: str | None = None
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[], ArrayBackend],
-    *,
-    probe: Callable[[], bool] | None = None,
-    replace: bool = False,
-) -> None:
-    """Register *factory* under *name*.
-
-    *probe* reports availability without instantiating (defaults to
-    "always available"); *replace* allows re-registration (tests).
-    """
-    with _LOCK:
-        if name in _REGISTRY and not replace:
-            raise BackendError(f"backend {name!r} is already registered")
-        _REGISTRY[name] = factory
-        _PROBES[name] = probe if probe is not None else (lambda: True)
-        _INSTANCES.pop(name, None)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove *name* from the registry (testing helper)."""
-    if name == DEFAULT_BACKEND:
-        raise BackendError("the numpy reference backend cannot be removed")
-    with _LOCK:
-        _REGISTRY.pop(name, None)
-        _PROBES.pop(name, None)
-        _INSTANCES.pop(name, None)
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
 def available_backends() -> dict[str, bool]:
-    """Name -> availability for every registered or optional backend.
-
-    Optional backends (:data:`OPTIONAL_BACKENDS`) appear even when their
-    import-gated registration never ran, reported unavailable — the
-    skip-report surface for runners without the extras installed.
-    """
-    status = {name: _PROBES[name]() for name in backend_names()}
-    for name in OPTIONAL_BACKENDS:
-        status.setdefault(name, False)
-    return status
+    """Name -> whether this host can instantiate that backend."""
+    return {
+        "numpy": True,
+        "numba": importlib.util.find_spec("numba") is not None,
+    }
 
 
+@functools.cache
 def _instantiate(name: str) -> ArrayBackend:
+    # Failures (unknown name, missing numba) raise and are not cached.
     try:
-        cached = _INSTANCES[name]
-    except KeyError:
-        pass
-    else:
-        return cached
-    try:
-        factory = _REGISTRY[name]
+        factory = _FACTORIES[name]
     except KeyError:
         raise BackendError(
-            f"unknown array backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}"
+            f"unknown array backend {name!r}; choices: "
+            f"{', '.join(_FACTORIES)}"
         ) from None
-    instance = factory()
-    with _LOCK:
-        _INSTANCES[name] = instance
-    return instance
+    return factory()
 
 
 def get_backend(name: str | None = None) -> ArrayBackend:
@@ -344,57 +205,3 @@ def use_backend(name: str) -> Iterator[ArrayBackend]:
         yield instance  # type: ignore[misc]
     finally:
         _EXPLICIT = previous
-
-
-# ---------------------------------------------------------------------- #
-# built-in backends
-# ---------------------------------------------------------------------- #
-
-
-def _module_available(module: str) -> bool:
-    try:
-        return importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):  # pragma: no cover - broken metadata
-        return False
-
-
-def _numba_factory() -> ArrayBackend:
-    try:
-        from repro.batch._numba_backend import NumbaBackend
-    except ImportError as exc:
-        raise BackendError(
-            "backend 'numba' requires the numba package — install the "
-            "JIT extra: pip install 'repro-network-uncertainty[jit]'"
-        ) from exc
-    return NumbaBackend()
-
-
-def _cupy_factory() -> ArrayBackend:
-    import cupy  # registration is import-gated, so this resolves
-
-    return ArrayBackend(module=cupy, name="cupy")
-
-
-def _jax_factory() -> ArrayBackend:
-    import jax.numpy as jnp
-
-    return ArrayBackend(module=jnp, name="jax")
-
-
-register_backend("numpy", ArrayBackend)
-register_backend(
-    "numba", _numba_factory, probe=lambda: _module_available("numba")
-)
-# GPU stubs: registered only when the library imports on this host. They
-# delegate the primitive namespace to the drop-in array module and run
-# the generic kernel compositions; certification is tolerance-based
-# differential testing (tests skip, visibly, where the import gate keeps
-# the backend unregistered).
-if _module_available("cupy"):  # pragma: no cover - needs CUDA host
-    register_backend(
-        "cupy", _cupy_factory, probe=lambda: _module_available("cupy")
-    )
-if _module_available("jax"):  # pragma: no cover - needs jax install
-    register_backend(
-        "jax", _jax_factory, probe=lambda: _module_available("jax")
-    )

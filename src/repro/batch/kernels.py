@@ -31,13 +31,12 @@ original implementation in ``tests/data/e5_seed_baseline.json``. Keep
 both properties intact: the Conjecture 3.7 campaign promises results
 identical to the sequential implementation under the same seeds.
 
-Backend seam: every kernel resolves its array namespace through
-:func:`repro.batch.backend.get_backend`. Under the default ``numpy``
-backend the namespace *is* :mod:`numpy`, so all the parity contracts
-above hold unchanged; the census kernels additionally dispatch to a
-backend's fused ``count_pure_nash``/``exists_pure_nash`` hooks when
-set (the Numba JIT path), whose verdicts are certified by
-tolerance-based differential tests instead of byte identity.
+Backend seam: :func:`batch_loads` and the census kernels dispatch to
+the active backend's fused ``scatter_loads`` / ``count_pure_nash`` /
+``exists_pure_nash`` hooks when set (the Numba JIT path, see
+:mod:`repro.batch.backend`), whose verdicts are certified by
+tolerance-based differential tests instead of byte identity. Without
+a hook the NumPy code below runs and the parity contracts above hold.
 """
 
 from __future__ import annotations
@@ -69,6 +68,43 @@ def _batch_shape(sigma: np.ndarray, weights: np.ndarray) -> tuple[int, ...]:
     return np.broadcast_shapes(sigma.shape[:-1], weights.shape[:-1])
 
 
+def _scatter_loads(
+    sigma: np.ndarray,
+    weights: np.ndarray,
+    num_links: int,
+    initial_traffic: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-link loads for ``(A, n)`` assignments, user-by-user.
+
+    Accumulation order matches :func:`numpy.bincount` with weights (the
+    single-game ``loads_of``), which is the bit-parity contract every
+    batched kernel rests on. Steppers that rebuild loads every
+    iteration pass a preallocated ``(A, num_links)`` buffer via *out* to
+    skip the per-step allocation.
+    """
+    hook = get_backend().scatter_loads
+    if hook is not None:
+        loads = hook(sigma, weights, num_links, initial_traffic)
+        if out is not None:
+            out[:] = loads
+            return out
+        return loads
+    a, n = sigma.shape
+    if out is not None:
+        loads = out
+        loads[:] = 0.0
+    else:
+        loads = np.zeros((a, num_links))
+    rows = np.arange(a)
+    for i in range(n):
+        loads[rows, sigma[:, i]] += weights[:, i]
+    if initial_traffic is not None:
+        loads += initial_traffic
+    return loads
+
+
 def batch_loads(
     sigma: np.ndarray,
     weights: np.ndarray,
@@ -83,14 +119,13 @@ def batch_loads(
     with weights), then initial traffic is added — the same operation
     order as :func:`repro.model.profiles.loads_of`.
     """
-    xp = get_backend()
     sigma = np.asarray(sigma, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
     if sigma.ndim == 1 and w.ndim == 1:
         # Single-game fast path: bincount *is* the contract. (Weighted
         # bincount already returns float64 — no astype copy needed, and
         # the result is fresh, so the traffic add runs in place.)
-        loads = xp.bincount(sigma, weights=w, minlength=num_links)
+        loads = np.bincount(sigma, weights=w, minlength=num_links)
         if initial_traffic is not None:
             loads += np.asarray(initial_traffic, dtype=np.float64)
         return loads
@@ -98,14 +133,7 @@ def batch_loads(
     n = sigma.shape[-1]
     sig = np.broadcast_to(sigma, batch + (n,)).reshape(-1, n)
     wf = np.broadcast_to(w, batch + (n,)).reshape(-1, n)
-    if xp.scatter_loads is not None:
-        flat = xp.scatter_loads(sig, wf, num_links, None)
-    else:
-        flat = xp.zeros((sig.shape[0], num_links))
-        rows = np.arange(sig.shape[0])
-        for i in range(n):
-            flat[rows, sig[:, i]] += wf[:, i]
-    loads = flat.reshape(batch + (num_links,))
+    loads = _scatter_loads(sig, wf, num_links).reshape(batch + (num_links,))
     if initial_traffic is not None:
         loads = loads + np.asarray(initial_traffic, dtype=np.float64)
     return loads
@@ -123,7 +151,6 @@ def batch_pure_latencies(
 
     ``out[..., i] = loads[..., sigma_i] / C[..., i, sigma_i]``.
     """
-    xp = get_backend()
     sigma = np.asarray(sigma, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
     caps = np.asarray(capacities, dtype=np.float64)
@@ -135,11 +162,11 @@ def batch_pure_latencies(
         # machinery on the per-step hot path of the sequential solvers.
         return loads[sigma] / caps[np.arange(n), sigma]
     batch = np.broadcast_shapes(_batch_shape(sigma, w), caps.shape[:-2])
-    sig = xp.broadcast_to(sigma, batch + (n,))
-    loads_b = xp.broadcast_to(loads, batch + (m,))
-    caps_b = xp.broadcast_to(caps, batch + (n, m))
-    chosen_load = xp.take_along_axis(loads_b, sig, axis=-1)
-    chosen_cap = xp.take_along_axis(caps_b, sig[..., None], axis=-1)[..., 0]
+    sig = np.broadcast_to(sigma, batch + (n,))
+    loads_b = np.broadcast_to(loads, batch + (m,))
+    caps_b = np.broadcast_to(caps, batch + (n, m))
+    chosen_load = np.take_along_axis(loads_b, sig, axis=-1)
+    chosen_cap = np.take_along_axis(caps_b, sig[..., None], axis=-1)[..., 0]
     return chosen_load / chosen_cap
 
 
@@ -159,7 +186,6 @@ def batch_deviation_latencies(
     user ``i`` attains its minimum at ``sigma_i`` iff ``i`` is satisfied,
     so this tensor drives both Nash checks and best-response dynamics.
     """
-    xp = get_backend()
     sigma = np.asarray(sigma, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
     caps = np.asarray(capacities, dtype=np.float64)
@@ -183,9 +209,9 @@ def batch_deviation_latencies(
     # through *_along_axis so broadcast inputs stay views (no material-
     # isation of the full (..., n, m) index tensors).
     seen = loads[..., None, :] + w[..., :, None]
-    sig_idx = xp.broadcast_to(sigma, seen.shape[:-1])[..., None]
-    own = xp.take_along_axis(seen, sig_idx, axis=-1)
-    xp.put_along_axis(seen, sig_idx, own - w[..., :, None], axis=-1)
+    sig_idx = np.broadcast_to(sigma, seen.shape[:-1])[..., None]
+    own = np.take_along_axis(seen, sig_idx, axis=-1)
+    np.put_along_axis(seen, sig_idx, own - w[..., :, None], axis=-1)
     if seen.shape == np.broadcast_shapes(seen.shape, caps.shape):
         seen /= caps
         return seen
@@ -206,7 +232,6 @@ def batch_pure_nash_mask(
     row attains its minimum (up to relative tolerance *tol*) at the
     user's current link.
     """
-    xp = get_backend()
     # Convert once here; the downstream kernels' asarray calls then hit
     # the already-typed fast path (no copies).
     sigma = np.asarray(sigma, dtype=np.intp)
@@ -216,8 +241,8 @@ def batch_pure_nash_mask(
     loads = batch_loads(sigma, w, m, initial_traffic)
     current = batch_pure_latencies(sigma, w, caps, loads=loads)
     dev = batch_deviation_latencies(sigma, w, caps, loads=loads)
-    scale = xp.maximum(current, 1.0)
-    return xp.all(dev.min(axis=-1) >= current - tol * scale, axis=-1)
+    scale = np.maximum(current, 1.0)
+    return np.all(dev.min(axis=-1) >= current - tol * scale, axis=-1)
 
 
 def _profile_block(num_games: int, num_users: int, num_links: int) -> int:
@@ -299,7 +324,6 @@ def sweep_pure_nash_mask(
     """
     if tol < 0:
         raise ValueError("sweep_pure_nash_mask requires tol >= 0")
-    xp = get_backend()
     sig = np.asarray(assignments, dtype=np.intp)  # (P, n)
     w = np.asarray(weights, dtype=np.float64)  # (B, n)
     caps = np.asarray(capacities, dtype=np.float64)  # (B, n, m)
@@ -307,7 +331,7 @@ def sweep_pure_nash_mask(
     n, m = caps.shape[-2], caps.shape[-1]
     if onehot is None:
         onehot = (sig[:, :, None] == np.arange(m)).astype(np.float64)  # (P, n, m)
-    loads = xp.tensordot(w, onehot, axes=([1], [1]))  # (B, P, m)
+    loads = np.tensordot(w, onehot, axes=([1], [1]))  # (B, P, m)
     if initial_traffic is not None:
         loads += np.asarray(initial_traffic, dtype=np.float64)[:, None, :]
     if num_b * num_p * n * m <= 65_536:
@@ -316,11 +340,11 @@ def sweep_pure_nash_mask(
         # unpatched own-link entry (loads[sig_i] + w_i)/C exceeds the
         # current latency, so it never decides the verdict and the
         # own-weight subtraction is skipped (here and below).
-        current = xp.take_along_axis(loads, sig[None], axis=-1)
+        current = np.take_along_axis(loads, sig[None], axis=-1)
         current = current / caps[:, np.arange(n)[None, :], sig]
-        threshold = current - tol * xp.maximum(current, 1.0)
+        threshold = current - tol * np.maximum(current, 1.0)
         dev = (loads[:, :, None, :] + w[:, None, :, None]) / caps[:, None, :, :]
-        return xp.all(dev >= threshold[..., None], axis=(-2, -1))
+        return np.all(dev >= threshold[..., None], axis=(-2, -1))
     loads = loads.reshape(num_b * num_p, m)
     # Check users one at a time over the surviving (game, profile) pairs:
     # a profile is NE only if *every* user is satisfied, and a random
@@ -333,12 +357,12 @@ def sweep_pure_nash_mask(
         chosen = sig[survivors % num_p, i]
         cap_rows = caps[b, i]  # (S, m)
         current = loads[survivors, chosen] / cap_rows[np.arange(survivors.size), chosen]
-        threshold = current - tol * xp.maximum(current, 1.0)
+        threshold = current - tol * np.maximum(current, 1.0)
         dev = (loads[survivors] + w[b, i][:, None]) / cap_rows
-        survivors = survivors[xp.all(dev >= threshold[:, None], axis=1)]
+        survivors = survivors[np.all(dev >= threshold[:, None], axis=1)]
         if survivors.size == 0:
             break
-    mask = xp.zeros(num_b * num_p, dtype=bool)
+    mask = np.zeros(num_b * num_p, dtype=bool)
     mask[survivors] = True
     return mask.reshape(num_b, num_p)
 
@@ -351,13 +375,13 @@ def batch_count_pure_nash(
     Sweeps all ``m^n`` assignments for the whole stack at once, blocking
     over the profile axis to bound peak memory. Returns ``(B,)`` int64.
     """
-    xp = get_backend()
     n, m = batch.num_users, batch.num_links
     assignments = _all_assignments(n, m)
-    if xp.count_pure_nash is not None:
+    hook = get_backend().count_pure_nash
+    if hook is not None:
         # Fused backend kernel (e.g. the Numba per-game census loop):
         # no one-hot tensors, no profile blocking needed.
-        return xp.count_pure_nash(
+        return hook(
             assignments,
             batch.weights,
             batch.capacities,
@@ -391,11 +415,11 @@ def batch_exists_pure_nash(
     from subsequent profile blocks, so a typical stack finishes after a
     small fraction of the ``m^n`` sweep.
     """
-    xp = get_backend()
     n, m = batch.num_users, batch.num_links
     assignments = _all_assignments(n, m)
-    if xp.exists_pure_nash is not None:
-        return xp.exists_pure_nash(
+    hook = get_backend().exists_pure_nash
+    if hook is not None:
+        return hook(
             assignments,
             batch.weights,
             batch.capacities,

@@ -24,8 +24,8 @@ Subcommands:
   run the K shards on any hosts in any order, ``merge`` their stores,
   then replay verdicts from the merged store with ``run/report
   --store ... --resume``;
-* ``--backend``          — array backend for the batch kernels (numpy
-  reference, numba JIT, optional GPU backends; also exported through
+* ``--backend``          — array backend for the batch kernels (the
+  numpy reference or the numba JIT; also exported through
   ``REPRO_BACKEND`` so process-pool workers inherit it).
 
 Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
@@ -89,6 +89,20 @@ def expand_ids(ids: Sequence[str]) -> list[str]:
             seen.add(key)
             ordered.append(key)
     return ordered
+
+
+def _experiment_ids(
+    ids: Sequence[str], parser: argparse.ArgumentParser
+) -> list[str]:
+    """:func:`expand_ids`, refusing unknown ids before any work starts."""
+    expanded = expand_ids(ids)
+    unknown = [key for key in expanded if key not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment id(s) {', '.join(unknown)}; valid ids: "
+            f"{', '.join(EXPERIMENTS)} or 'all'"
+        )
+    return expanded
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
@@ -329,7 +343,7 @@ def _cmd_run_shard(ids: Sequence[str], quick: bool, shard, **options) -> int:
     store = options.pop("store")
     path = shard_store_path(store, shard.index)
     computed = resumed = owned = 0
-    for experiment_id in expand_ids(ids):
+    for experiment_id in ids:
         for spec in get_experiment_specs(experiment_id, quick=quick):
             result = run_sweep(spec, store=path, shard=shard, **options)
             owned += len(result.chunk_payloads)
@@ -389,7 +403,7 @@ def _cmd_digest(store: str) -> int:
 
 def _cmd_run(ids: Sequence[str], quick: bool, **options) -> int:
     failures = 0
-    for experiment_id in expand_ids(ids):
+    for experiment_id in ids:
         start = time.perf_counter()
         result = run_experiment(experiment_id, quick=quick, **options)
         elapsed = time.perf_counter() - start
@@ -409,8 +423,6 @@ def _cmd_report(
 ) -> int:
     from repro.experiments.report import render_markdown, run_all
 
-    if ids is not None:
-        ids = expand_ids(ids)
     run = run_all(quick=quick, ids=ids, **options)
     text = render_markdown(run, quick=quick)
     with open(output, "w", encoding="utf-8") as fh:
@@ -489,11 +501,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.resume and not args.store:
         parser.error("--resume requires --store")
     if args.command == "run":
+        ids = _experiment_ids(args.ids, parser)
         if args.shard is not None:
             if not args.store:
                 parser.error("--shard requires --store")
             return _cmd_run_shard(
-                args.ids,
+                ids,
                 args.quick,
                 args.shard,
                 jobs=args.jobs,
@@ -502,10 +515,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 store=args.store,
                 resume=args.resume,
             )
-        return _cmd_run(args.ids, args.quick, **_runtime_options(args))
+        return _cmd_run(ids, args.quick, **_runtime_options(args))
     if args.command == "report":
+        ids = None if args.ids is None else _experiment_ids(args.ids, parser)
         return _cmd_report(
-            args.output, args.quick, args.ids, **_runtime_options(args)
+            args.output, args.quick, ids, **_runtime_options(args)
         )
     raise AssertionError("unreachable")  # pragma: no cover
 

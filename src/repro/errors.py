@@ -53,11 +53,10 @@ class AlgorithmDomainError(ReproError, ValueError):
 class BackendError(ReproError, ValueError):
     """An array backend is unknown, unavailable, or mismatched.
 
-    Raised when resolving a backend name that is not registered (the
-    message lists the registered choices), when a registered backend's
-    optional dependency is missing (e.g. ``numba`` without the
-    ``repro[jit]`` extra), and when a campaign resume targets a result
-    store produced under a different backend.
+    Raised when resolving an unknown backend name (the message lists
+    the choices), when ``numba`` is selected without the ``repro[jit]``
+    extra installed, and when a campaign resume targets a result store
+    produced under a different backend.
     """
 
 

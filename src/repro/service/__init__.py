@@ -34,8 +34,6 @@ from repro.service.query import (
     EquilibriumRequest,
     RequestError,
     game_digest,
-    solve_batch,
-    solve_fixpoint_batch,
     solve_fixpoint_requests,
     solve_requests,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "ResultCache",
     "ServiceClient",
     "game_digest",
-    "solve_batch",
-    "solve_fixpoint_batch",
     "solve_fixpoint_requests",
     "solve_requests",
 ]

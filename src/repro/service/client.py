@@ -17,6 +17,7 @@ import asyncio
 from typing import Any, Sequence
 
 from repro.runtime.store import canonical_dumps, canonical_loads
+from repro.service.server import MAX_LINE_BYTES
 
 __all__ = ["ServiceClient"]
 
@@ -35,7 +36,10 @@ class ServiceClient:
     async def connect(
         cls, host: str = "127.0.0.1", port: int = 0
     ) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        # Responses can be as long as requests (a wide fixpoint profile).
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_LINE_BYTES
+        )
         return cls(reader, writer)
 
     async def close(self) -> None:

@@ -48,9 +48,10 @@ in ``docs/STORE_FORMAT.md``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,8 +72,6 @@ __all__ = [
     "EquilibriumRequest",
     "RequestError",
     "game_digest",
-    "solve_batch",
-    "solve_fixpoint_batch",
     "solve_fixpoint_requests",
     "solve_requests",
 ]
@@ -319,8 +318,22 @@ def _uniform_beliefs_mask(
     return np.all(np.abs(capacities - first) <= rtol * first, axis=(1, 2))
 
 
-def solve_batch(
-    batch: GameBatch, digests: Sequence[str] | None = None
+def _solve_by_shape(
+    requests: Sequence[EquilibriumRequest],
+    answer: Callable[[GameBatch, Sequence[str]], list[dict[str, Any]]],
+) -> list[dict[str, Any]]:
+    """Group *requests* into per-shape stacks and answer each stack with
+    one ``answer(batch, digests)`` call; responses in request order."""
+    out: list[dict[str, Any] | None] = [None] * len(requests)
+    for batch, indices in GameBatch.from_requests(requests):
+        responses = answer(batch, [requests[i].digest for i in indices])
+        for index, response in zip(indices, responses):
+            out[index] = response
+    return out  # type: ignore[return-value]
+
+
+def _answer_census(
+    batch: GameBatch, digests: Sequence[str]
 ) -> list[dict[str, Any]]:
     """Answer one same-shape stack of queries with one kernel pass.
 
@@ -329,13 +342,6 @@ def solve_batch(
     response and a freshly computed one are indistinguishable objects).
     """
     n, m = batch.num_users, batch.num_links
-    if digests is None:
-        digests = [
-            game_digest(
-                batch.weights[i], batch.capacities[i], batch.initial_traffic[i]
-            )
-            for i in range(len(batch))
-        ]
     ratios = batch_empirical_ratios(batch)
     fm = batch_fully_mixed_candidate(
         batch.weights, batch.capacities, batch.initial_traffic
@@ -392,21 +398,11 @@ def solve_requests(
     :meth:`GameBatch.from_requests` and each shape's stack takes one
     pass of the batched kernels; responses come back in request order.
     """
-    out: list[dict[str, Any] | None] = [None] * len(requests)
-    for batch, indices in GameBatch.from_requests(requests):
-        responses = solve_batch(
-            batch, digests=[requests[i].digest for i in indices]
-        )
-        for index, response in zip(indices, responses):
-            out[index] = response
-    return out  # type: ignore[return-value]
+    return _solve_by_shape(requests, _answer_census)
 
 
-def solve_fixpoint_batch(
-    batch: GameBatch,
-    digests: Sequence[str] | None = None,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
+def _answer_fixpoint(
+    batch: GameBatch, digests: Sequence[str], *, max_rounds: int
 ) -> list[dict[str, Any]]:
     """Answer one same-shape stack of fixpoint queries with one solve.
 
@@ -418,13 +414,6 @@ def solve_fixpoint_batch(
     from replays), and each game's answer is bit-identical to its
     ``B = 1`` solve — trajectories ignore batch-mates.
     """
-    if digests is None:
-        digests = [
-            game_digest(
-                batch.weights[i], batch.capacities[i], batch.initial_traffic[i]
-            )
-            for i in range(len(batch))
-        ]
     result = batch_fixpoint_mixed_nash(
         batch.weights,
         batch.capacities,
@@ -458,13 +447,6 @@ def solve_fixpoint_requests(
 ) -> list[dict[str, Any]]:
     """The fixpoint op's solver seam — same shape as
     :func:`solve_requests`, so the same dynamic batcher drives it."""
-    out: list[dict[str, Any] | None] = [None] * len(requests)
-    for batch, indices in GameBatch.from_requests(requests):
-        responses = solve_fixpoint_batch(
-            batch,
-            digests=[requests[i].digest for i in indices],
-            max_rounds=max_rounds,
-        )
-        for index, response in zip(indices, responses):
-            out[index] = response
-    return out  # type: ignore[return-value]
+    return _solve_by_shape(
+        requests, functools.partial(_answer_fixpoint, max_rounds=max_rounds)
+    )

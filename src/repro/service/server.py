@@ -30,8 +30,8 @@ requests per connection and match the (possibly reordered) responses:
 Every ``solve`` line becomes its own task, so one pipelining connection
 generates genuinely concurrent requests for the
 :class:`~repro.service.batcher.DynamicBatcher` to coalesce; malformed
-lines produce ``{"ok": false, "error": ...}`` instead of killing the
-connection.
+lines, and lines longer than :data:`MAX_LINE_BYTES`, produce
+``{"ok": false, "error": ...}`` instead of killing the connection.
 """
 
 from __future__ import annotations
@@ -53,7 +53,24 @@ from repro.service.query import (
     solve_requests,
 )
 
-__all__ = ["EquilibriumServer"]
+__all__ = ["EquilibriumServer", "MAX_LINE_BYTES"]
+
+#: Longest request line read (the stream limit; newline excluded). A
+#: ``fixpoint`` query for a 300 x 30 game is ~181 KB, far past asyncio's
+#: 64 KiB default; a longer line is skipped and answered with an error.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard buffered and incoming input through the next newline."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:  # EOF inside the line
+            return
 
 
 class EquilibriumServer:
@@ -107,7 +124,7 @@ class EquilibriumServer:
     async def start(self) -> None:
         """Bind and start accepting connections (port 0 picks a free one)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -173,7 +190,17 @@ class EquilibriumServer:
 
         try:
             while not reader.at_eof():
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # EOF: a final unterminated line
+                except asyncio.LimitOverrunError:
+                    await _skip_line(reader)
+                    await respond({
+                        "ok": False,
+                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    })
+                    continue
                 if not raw:
                     break
                 task = asyncio.ensure_future(handle_line(raw))

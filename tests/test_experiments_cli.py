@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.batch.backend import ENV_VAR
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -97,6 +103,40 @@ class TestQuickRunners:
         assert "PASS" in result.render()
 
 
+class TestRuntimeImports:
+    def test_e6_imports_only_declared_dependencies(self):
+        """Running an experiment loads no third-party distribution
+        beyond the declared runtime dependencies: E6's ordinal potential
+        used to import scipy for ``log k!``, and no optional array
+        library may load either. Checked in a fresh interpreter, with
+        the default backend, because this process has imported more."""
+        script = (
+            "import sys\n"
+            "from importlib.metadata import packages_distributions\n"
+            "before = {name.partition('.')[0] for name in sys.modules}\n"
+            "from repro.experiments.registry import run_experiment\n"
+            "assert run_experiment('E6', quick=True).passed\n"
+            "after = {name.partition('.')[0] for name in sys.modules}\n"
+            "owners = packages_distributions()\n"
+            "new = after - before - {'repro'}\n"
+            "print(' '.join(sorted({d for t in new for d in owners.get(t, ())})))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+        env["PYTHONPATH"] = str(root / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "scipy" not in loaded
+        assert loaded <= {"numpy", "networkx"}
+
+
 class TestCli:
     def test_parser_list(self):
         args = build_parser().parse_args(["list"])
@@ -128,6 +168,29 @@ class TestCli:
             ["E5"] + [f"E{i}" for i in range(1, 14) if i != 5]
         )
         assert expand_ids(["e8", "E2", "e8"]) == ["E8", "E2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E99"],
+            ["run", "E5", "E99", "--quick"],
+            ["run", "E5", "E99", "--shard", "0/2", "--store", "s.jsonl"],
+            ["report", "--ids", "E5", "E99", "-o", "out.md", "--quick"],
+        ],
+    )
+    def test_unknown_ids_refused_before_any_work(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment id(s) E99" in captured.err
+        assert ", ".join(EXPERIMENTS) in captured.err
+        # E5 never ran: no table printed, no store or report written.
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_dedupes_ids(self, capsys):
         assert main(["run", "E8", "e8", "E8", "--quick"]) == 0

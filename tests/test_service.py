@@ -45,6 +45,7 @@ from repro.service import (
     game_digest,
     solve_requests,
 )
+from repro.service import server as server_module
 from repro.util.rng import stable_seed
 
 
@@ -502,6 +503,45 @@ class TestEquilibriumServer:
         assert "unknown op" in replies[2]
         assert "exactly one" in replies[3]
         assert '"pong": true' in replies[4]
+
+    def test_lines_past_asyncio_default_limit_are_served(self):
+        """Lines longer than asyncio's 64 KiB default limit (a wide
+        fixpoint game is ~181 KB) pass both ways: the server echoes the
+        ``id``, so one padded ping is a long request and a long reply."""
+        pad = "x" * 100_000
+
+        async def scenario(server):
+            client = await ServiceClient.connect(server.host, server.port)
+            try:
+                return await client.request({"op": "ping", "id": pad})
+            finally:
+                await client.close()
+
+        reply = asyncio.run(_with_server(scenario))
+        assert reply == {"id": pad, "ok": True, "pong": True}
+
+    def test_over_limit_line_gets_one_error_and_connection_survives(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 1024)
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(b'{"op": "ping", "pad": "' + b"x" * 50_000 + b'"}\n')
+                writer.write(b'{"op": "ping", "id": 2}\n')
+                await writer.drain()
+                return [(await reader.readline()).decode() for _ in range(2)]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        error, pong = asyncio.run(_with_server(scenario))
+        assert '"ok": false' in error and "exceeds 1024 bytes" in error
+        # The rest of the long line was discarded, not read as a request.
+        assert '"id": 2' in pong and '"pong": true' in pong
 
     def test_shutdown_op_stops_the_server(self):
         async def scenario():
