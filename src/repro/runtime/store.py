@@ -115,7 +115,23 @@ def _decode_hook(obj: dict[str, Any]) -> Any:
 
 
 def canonical_dumps(obj: Any, **kwargs: Any) -> str:
-    """Serialise with the sentinel encoding (strict about raw inf/nan)."""
+    """Serialise with the sentinel encoding (strict about raw inf/nan).
+
+    A single ``json.dumps`` pass answers the common case. The recursive
+    :func:`_encode_nonfinite` walk runs only when that pass refuses *obj*
+    (a non-finite float, say) or its text holds the reserved key, so
+    every input encodes, or fails, exactly as it does through the walk.
+    The one difference is depth: a finite payload nested too deep for
+    the walk's Python recursion (about 500 levels) but not for the C
+    encoder now encodes instead of raising :class:`RecursionError`.
+    """
+    try:
+        text = json.dumps(obj, allow_nan=False, **kwargs)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if NONFINITE_KEY not in text:
+            return text
     return json.dumps(_encode_nonfinite(obj), allow_nan=False, **kwargs)
 
 

@@ -15,7 +15,8 @@ The batch engine (PRs 1-4) runs offline campaigns; this package serves
   coalesce into a window that flushes on ``max_batch`` or
   ``max_delay_ms``, whichever first, with in-flight digest ride-along;
 * :mod:`repro.service.server`  — the JSON-lines asyncio TCP server
-  (``repro-experiments serve``);
+  (``repro-experiments serve``); it encodes each solved response once,
+  caches the bytes, and splices them into every reply for that game;
 * :mod:`repro.service.client`  — a pipelining asyncio client;
 * :mod:`repro.service.smoke`   — the CI smoke driver (burst, cache-hit
   gate, clean shutdown).

@@ -2,10 +2,13 @@
 
 Keys are reduced-form digests (:func:`repro.service.query.game_digest`):
 every solver output is a pure function of the reduced form, so a digest
-hit *is* the answer — a repeated query at millions-of-users traffic
-costs one hash and one dict lookup, never a kernel pass. Values are the
-JSON-canonical response dicts the solver produced, returned by
-reference (responses are treated as immutable once built).
+hit *is* the answer — a repeated query costs one hash and one dict
+lookup, never a kernel pass. The cache does not look at its values. The
+server's caches hold each response's canonical JSON bytes, encoded once
+when its batch completes, so a hit is spliced into the reply as it is;
+a bare :class:`~repro.service.batcher.DynamicBatcher` caches whatever
+its solver returns (response dicts, for the default seam), by
+reference.
 
 The cache is deliberately loop-confined: the service is a single
 asyncio event loop, so plain dict operations need no locking. Counters

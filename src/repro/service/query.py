@@ -39,11 +39,12 @@ answer is either oracle-certified or explicitly flagged.
 
 Wire format: requests, responses and the content digests the cache is
 keyed on all use the canonical JSON encoding of
-:mod:`repro.runtime.store` (``canonical_dumps``/``canonical_payload``
-— ``repr``-shortest floats, the ``{"__nonfinite__": ...}`` sentinel
-for ``inf``/``nan``), the same encoding campaign result stores are
-written in. The shared format is specified, with doctested examples,
-in ``docs/STORE_FORMAT.md``.
+:mod:`repro.runtime.store` (``canonical_dumps`` — ``repr``-shortest
+floats, the ``{"__nonfinite__": ...}`` sentinel for ``inf``/``nan``),
+the same encoding campaign result stores are written in. The solver
+seams return plain response dicts; the server encodes each one once and
+caches the bytes (:mod:`repro.service.server`). The shared format is
+specified, with doctested examples, in ``docs/STORE_FORMAT.md``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ from repro.batch.poa import (
 )
 from repro.batch.pure import batch_nashify
 from repro.errors import ConvergenceError
-from repro.runtime.store import canonical_dumps, canonical_payload
+
+# canonical_payload stays importable from here: perfbench/traced_server.py
+# times it under this module's name.
+from repro.runtime.store import canonical_dumps, canonical_payload  # noqa: F401
 
 __all__ = [
     "MAX_SERVICE_PROFILES",
@@ -337,9 +341,10 @@ def _answer_census(
 ) -> list[dict[str, Any]]:
     """Answer one same-shape stack of queries with one kernel pass.
 
-    Returns one JSON-canonical response dict per game (already passed
-    through :func:`repro.runtime.store.canonical_payload`, so a cached
-    response and a freshly computed one are indistinguishable objects).
+    Returns one response dict per game, built only from JSON-native
+    values (``.tolist()``, ``float``, ``int``, ``bool``, ``None``), so
+    it encodes as it stands, with no round trip through
+    :func:`repro.runtime.store.canonical_payload`.
     """
     n, m = batch.num_users, batch.num_links
     ratios = batch_empirical_ratios(batch)
@@ -385,7 +390,7 @@ def _answer_census(
                 "num_equilibria": num_equilibria,
             },
         }
-        responses.append(canonical_payload(response))
+        responses.append(response)
     return responses
 
 
@@ -410,9 +415,10 @@ def _answer_fixpoint(
     ``certified`` / ``rounds`` / ``residual``) plus the equilibrium
     ``probabilities`` — ``None`` when the iteration did not converge,
     so a client can always tell a certified profile from a flagged
-    failure. Responses are JSON-canonical (cache-indistinguishable
-    from replays), and each game's answer is bit-identical to its
-    ``B = 1`` solve — trajectories ignore batch-mates.
+    failure. Like :func:`_answer_census`, each response holds only
+    JSON-native values and encodes as it stands, and each game's answer
+    is bit-identical to its ``B = 1`` solve — trajectories ignore
+    batch-mates.
     """
     result = batch_fixpoint_mixed_nash(
         batch.weights,
@@ -436,7 +442,7 @@ def _answer_fixpoint(
                 result.probabilities[b].tolist() if converged else None
             ),
         }
-        responses.append(canonical_payload(response))
+        responses.append(response)
     return responses
 
 

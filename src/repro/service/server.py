@@ -2,10 +2,13 @@
 
 Stdlib-only (``asyncio.start_server``) so the service runs wherever the
 library does; the protocol is newline-delimited JSON, one object per
-line, serialised with the runtime store's canonical encoder
+line. Every reply line is the runtime store's canonical encoding
 (:func:`repro.runtime.store.canonical_dumps` — ``repr`` floats, the
-non-finite sentinel) so a response byte-stream is exactly the store's
-canonical form of the same payload.
+non-finite sentinel) of its envelope ``{"id", "ok", ...}``, keys in
+that order. Each solved response is encoded once, when its batch
+completes, and the result caches hold those bytes: a ``solve`` or
+``fixpoint`` reply is the encoded ``id`` and the cached bytes spliced
+into the envelope, never a second encode of the response.
 
 Request objects carry an ``op`` (default ``"solve"``) and an optional
 ``id`` echoed back verbatim, so clients may pipeline any number of
@@ -29,17 +32,18 @@ requests per connection and match the (possibly reordered) responses:
 
 Every ``solve`` line becomes its own task, so one pipelining connection
 generates genuinely concurrent requests for the
-:class:`~repro.service.batcher.DynamicBatcher` to coalesce; malformed
-lines, and lines longer than :data:`MAX_LINE_BYTES`, produce
-``{"ok": false, "error": ...}`` instead of killing the connection.
+:class:`~repro.service.batcher.DynamicBatcher` to coalesce. Every line
+gets exactly one reply: malformed lines, lines longer than
+:data:`MAX_LINE_BYTES`, and ids that cannot be encoded produce
+``{"ok": false, "error": ...}`` (without the ``id`` when it is the
+problem) instead of killing the connection.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import json
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.batch.backend import available_backends, get_backend
 from repro.batch.fixpoint import DEFAULT_MAX_ROUNDS
@@ -59,6 +63,30 @@ __all__ = ["EquilibriumServer", "MAX_LINE_BYTES"]
 #: ``fixpoint`` query for a 300 x 30 game is ~181 KB, far past asyncio's
 #: 64 KiB default; a longer line is skipped and answered with an error.
 MAX_LINE_BYTES = 8 * 1024 * 1024
+
+#: The opening of a reply that carries no ``id``.
+_NO_ID = b"{"
+
+
+def _encoding(
+    solver: Solver,
+) -> Callable[[Sequence[EquilibriumRequest]], list[bytes]]:
+    """Wrap a solver seam so each response is encoded exactly once; the
+    batcher and its cache then pass the canonical bytes around."""
+
+    def solve(requests: Sequence[EquilibriumRequest]) -> list[bytes]:
+        return [
+            canonical_dumps(response).encode("utf-8")
+            for response in solver(requests)
+        ]
+
+    return solve
+
+
+def _reply(head: bytes, body: dict[str, Any]) -> bytes:
+    """A reply line: *head* (``{`` plus the encoded ``id``, if any),
+    then the encoded fields of *body*."""
+    return head + canonical_dumps(body).encode("utf-8")[1:] + b"\n"
 
 
 async def _skip_line(reader: asyncio.StreamReader) -> None:
@@ -92,7 +120,7 @@ class EquilibriumServer:
         self.port = port
         self.cache = ResultCache(cache_size)
         self.batcher = DynamicBatcher(
-            solver,
+            _encoding(solver),
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             cache=self.cache,
@@ -107,7 +135,7 @@ class EquilibriumServer:
             )
         self.fixpoint_cache = ResultCache(cache_size)
         self.fixpoint_batcher = DynamicBatcher(
-            fixpoint_solver,
+            _encoding(fixpoint_solver),
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             cache=self.fixpoint_cache,
@@ -180,9 +208,9 @@ class EquilibriumServer:
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
 
-        async def respond(response: dict[str, Any]) -> None:
+        async def respond(line: bytes) -> None:
             async with write_lock:
-                writer.write(canonical_dumps(response).encode("utf-8") + b"\n")
+                writer.write(line)
                 await writer.drain()
 
         async def handle_line(raw: bytes) -> None:
@@ -196,10 +224,10 @@ class EquilibriumServer:
                     raw = exc.partial  # EOF: a final unterminated line
                 except asyncio.LimitOverrunError:
                     await _skip_line(reader)
-                    await respond({
+                    await respond(_reply(_NO_ID, {
                         "ok": False,
                         "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    })
+                    }))
                     continue
                 if not raw:
                     break
@@ -221,16 +249,32 @@ class EquilibriumServer:
             except ConnectionError:
                 pass
 
-    async def _dispatch(self, raw: bytes) -> dict[str, Any]:
+    async def _dispatch(self, raw: bytes) -> bytes:
+        """The reply line to one request line.
+
+        The ``id`` is encoded once, up front, into the reply's head; a
+        solved result arrives as cached bytes and is spliced in after
+        it. The line equals ``canonical_dumps`` of the envelope dict.
+        """
         try:
             message = canonical_loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return {"ok": False, "error": f"invalid JSON: {exc}"}
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer past the interpreter's digit limit.
+        except (RecursionError, ValueError) as exc:
+            return _reply(_NO_ID, {"ok": False, "error": f"invalid JSON: {exc}"})
         if not isinstance(message, dict):
-            return {"ok": False, "error": "request must be a JSON object"}
-        envelope: dict[str, Any] = {}
+            return _reply(
+                _NO_ID, {"ok": False, "error": "request must be a JSON object"}
+            )
+        head = _NO_ID
         if "id" in message:
-            envelope["id"] = message["id"]
+            try:
+                encoded_id = canonical_dumps(message["id"]).encode("utf-8")
+            except (RecursionError, ValueError) as exc:
+                return _reply(
+                    _NO_ID, {"ok": False, "error": f"cannot encode id: {exc}"}
+                )
+            head = b'{"id": ' + encoded_id + b", "
         op = message.get("op", "solve")
         if op in ("solve", "fixpoint"):
             batcher = self.batcher if op == "solve" else self.fixpoint_batcher
@@ -240,21 +284,19 @@ class EquilibriumServer:
                 )
                 result = await batcher.submit(request)
             except RequestError as exc:
-                return {**envelope, "ok": False, "error": str(exc)}
+                return _reply(head, {"ok": False, "error": str(exc)})
             except Exception as exc:  # noqa: BLE001 - solver failure
-                return {
-                    **envelope,
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            return {**envelope, "ok": True, "result": result}
+                return _reply(
+                    head, {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                )
+            return head + b'"ok": true, "result": ' + result + b"}\n"
         if op == "stats":
-            return {**envelope, "ok": True, "stats": self.stats()}
+            return _reply(head, {"ok": True, "stats": self.stats()})
         if op == "info":
-            return {**envelope, "ok": True, "info": self.info()}
+            return _reply(head, {"ok": True, "info": self.info()})
         if op == "ping":
-            return {**envelope, "ok": True, "pong": True}
+            return _reply(head, {"ok": True, "pong": True})
         if op == "shutdown":
             self._shutdown.set()
-            return {**envelope, "ok": True, "stopping": True}
-        return {**envelope, "ok": False, "error": f"unknown op {op!r}"}
+            return _reply(head, {"ok": True, "stopping": True})
+        return _reply(head, {"ok": False, "error": f"unknown op {op!r}"})

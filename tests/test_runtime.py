@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.runtime import (
     canonical_payload,
     run_sweep,
 )
+from repro.runtime.store import NONFINITE_KEY, _encode_nonfinite
 from repro.util.parallel import ReplicationChunk
 
 
@@ -303,6 +305,44 @@ class TestNonFiniteSentinel:
         assert canonical_dumps(
             resumed.chunk_payloads, sort_keys=True
         ) == canonical_dumps(full.chunk_payloads, sort_keys=True)
+
+
+_floats = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+_payload_keys = st.sampled_from([NONFINITE_KEY, "a", "b"]) | st.text(max_size=3)
+_payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _floats
+    | _floats.map(np.float64)
+    | st.sampled_from([NONFINITE_KEY, "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_payload_keys, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _payloads,
+    st.sampled_from(
+        [{}, {"sort_keys": True}, {"sort_keys": True, "separators": (",", ":")}]
+    ),
+)
+def test_canonical_dumps_matches_the_sentinel_walk(payload, kwargs):
+    """The single-pass encoder gives the text, or the error, of its
+    definition: the recursive sentinel walk, then a strict dumps."""
+    try:
+        expected = json.dumps(
+            _encode_nonfinite(payload), allow_nan=False, **kwargs
+        )
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            canonical_dumps(payload, **kwargs)
+        assert str(raised.value) == str(exc)
+    else:
+        assert canonical_dumps(payload, **kwargs) == expected
 
 
 class TestResumeAfterKill:
