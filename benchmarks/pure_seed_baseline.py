@@ -13,16 +13,23 @@ benchmarks/pure_seed_baseline.py`` regenerates
 regression tests pin the batched E1-E4/E6 pipeline against, bit for bit.
 
 Modules the batched-pure PR did *not* refactor (the paper's three
-algorithms, the pure-NE conditions and enumerator, the response graphs,
-the random-game generators, the latency engine) are imported from the
-library: they are byte-identical to what the seed pipeline called, so
-importing them keeps the baseline honest without duplicating unchanged
-code.
+algorithms, the pure-NE conditions and enumerator, the random-game
+generators, the latency engine) are imported from the library: they
+are byte-identical to what the seed pipeline called, so importing them
+keeps the baseline honest without duplicating unchanged code. The
+response graphs are imported too, but they are no longer the seed's
+code: they have since become ``B = 1`` views of the batched census.
+The E4 cycle counts only need their verdicts, which
+``tests/test_batch_pure.py`` checks edge for edge against the seed's
+per-state loop (kept in ``tests/response_oracle.py``). The one other
+departure is the ordinal potential's ``log k!``, which uses
+:func:`math.lgamma` where the seed used ``scipy.special.gammaln``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -159,8 +166,6 @@ def seed_weighted_potential(game, assignment):
 
 def seed_ordinal_potential_symmetric(game, assignment):
     """The ordinal potential for the symmetric-users case."""
-    from scipy.special import gammaln
-
     if not game.has_symmetric_users():
         raise AlgorithmDomainError(
             "the ordinal potential requires symmetric users (equal weights)"
@@ -171,7 +176,7 @@ def seed_ordinal_potential_symmetric(game, assignment):
         )
     sigma = as_assignment(assignment, game.num_users, game.num_links)
     counts = np.bincount(sigma, minlength=game.num_links)
-    log_factorials = float(gammaln(counts + 1.0).sum())
+    log_factorials = sum(math.lgamma(k + 1.0) for k in counts)
     users = np.arange(game.num_users)
     return log_factorials - float(np.log(game.capacities[users, sigma]).sum())
 

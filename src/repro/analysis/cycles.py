@@ -33,13 +33,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
-from repro.batch.container import GameBatch
-from repro.batch.pure import batch_response_cycle_census
 from repro.model.game import UncertainRoutingGame
 from repro.equilibria.game_graph import better_response_graph, find_response_cycle
 from repro.util.rng import RandomState, as_generator
@@ -47,44 +44,41 @@ from repro.util.rng import RandomState, as_generator
 __all__ = [
     "CycleSearchResult",
     "realize_cycle",
-    "abstract_move_graph",
-    "response_cycle_census",
+    "move_cycles",
     "search_improvement_cycle_instance",
 ]
 
 
-def response_cycle_census(
-    games: Sequence[UncertainRoutingGame] | GameBatch,
-    *,
-    kind: str = "better",
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Per-game response-cycle verdicts for a stack of same-shape games.
+def move_cycles(
+    num_users: int, num_links: int, max_length: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """Each simple cycle of unilateral moves with at most *max_length*
+    states once, as a closed walk from its least state: a depth-first
+    search from every root through states ranked above it. A move and
+    its reversal count as a two-state cycle."""
+    states = list(itertools.product(range(num_links), repeat=num_users))
+    rank = {state: k for k, state in enumerate(states)}
+    moves = [
+        [
+            rank[state[:user] + (link,) + state[user + 1 :]]
+            for user in range(num_users)
+            for link in range(num_links)
+            if link != state[user]
+        ]
+        for state in states
+    ]
 
-    The census half of this module: instead of materialising one
-    :class:`networkx.DiGraph` per instance, the whole stack's
-    best-/better-response edges are extracted vectorised and peeled by
-    one Kahn pass (:func:`repro.batch.pure.batch_response_cycle_census`);
-    a single game is just the ``B = 1`` slice. Returns ``(B,)`` bools —
-    ``True`` where the instance contains a response cycle, i.e. (for
-    ``kind="better"``) where it cannot admit an ordinal potential.
-    """
-    batch = games if isinstance(games, GameBatch) else GameBatch.from_games(games)
-    return batch_response_cycle_census(batch, kind=kind, tol=tol)  # type: ignore[arg-type]
+    def extend(root: int, path: list[int]) -> Iterator[list[tuple[int, ...]]]:
+        for nxt in moves[path[-1]]:
+            if nxt == root:
+                yield [states[k] for k in path] + [states[root]]
+            elif nxt > root and nxt not in path and len(path) < max_length:
+                path.append(nxt)
+                yield from extend(root, path)
+                path.pop()
 
-
-def abstract_move_graph(num_users: int, num_links: int) -> nx.DiGraph:
-    """All pure states with an edge for every unilateral move."""
-    g = nx.DiGraph()
-    for state in itertools.product(range(num_links), repeat=num_users):
-        for user in range(num_users):
-            for link in range(num_links):
-                if link == state[user]:
-                    continue
-                succ = list(state)
-                succ[user] = link
-                g.add_edge(state, tuple(succ))
-    return g
+    for root in range(len(states)):
+        yield from extend(root, [root])
 
 
 def realize_cycle(
@@ -176,33 +170,26 @@ def search_improvement_cycle_instance(
 ) -> CycleSearchResult:
     """Exhaustively test short move cycles for realisability.
 
-    Enumerates simple cycles of the abstract move graph up to
-    *max_cycle_length* and tries to realise each with *weight_draws*
+    Enumerates simple move cycles up to *max_cycle_length* states
+    (:func:`move_cycles`) and tries to realise each with *weight_draws*
     sampled weight vectors (equal weights are skipped — provably
     unrealisable). Returns the first realised instance, verified against
-    the actual better-response graph.
+    its actual better-response graph; ``cycles_tested`` counts the cycles
+    tried, at most *max_cycles*.
     """
     rng = as_generator(seed)
     draws = [rng.uniform(0.2, 5.0, size=num_users) for _ in range(weight_draws)]
-    graph = abstract_move_graph(num_users, num_links)
+    cycles = move_cycles(num_users, num_links, max_cycle_length)
     tested = 0
-    for cyc in nx.simple_cycles(graph, length_bound=max_cycle_length):
+    for states in itertools.islice(cycles, max_cycles):
         tested += 1
-        if tested > max_cycles:
-            break
-        states = list(cyc) + [cyc[0]]
         for w in draws:
             caps = realize_cycle(states, w, num_links)
             if caps is None:
                 continue
             game = UncertainRoutingGame.from_capacities(w, caps)
-            # The batched census decides cycle existence without building
-            # a graph; the (rare) hit then materialises the graph once to
-            # extract an explicit witness walk.
-            if not response_cycle_census([game], kind="better")[0]:
-                continue
             witness = find_response_cycle(better_response_graph(game))
-            if witness is not None:  # pragma: no branch - census said so
+            if witness is not None:
                 return CycleSearchResult(
                     found=True, cycles_tested=tested, game=game, cycle=witness
                 )

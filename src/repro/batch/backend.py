@@ -96,7 +96,7 @@ class ArrayBackend:
     ``census_cycle(assignments, weights, capacities, traffic, best,
     tol)``
         ``(B,)`` bool response-cycle verdicts over the full ``m^n``
-        state space; edge sets must match the sequential graphs.
+        state space; edge sets must match ``batch_response_edges``.
     ``fixpoint_loop(weights, capacities, traffic, tol, eta,
     log2_beta_max, max_rounds, stall_rounds, stall_rtol)``
         The mixed-equilibrium smoothed best-response round loop of

@@ -22,8 +22,9 @@ Four kernel families live here:
   exact-potential test;
 * **PNE / cycle census** — :func:`batch_response_cycle_census` walks the
   best-/better-response graphs of a whole stack at once (vectorised
-  edge extraction over all ``m^n`` states, then one flattened Kahn
-  peel); pure-NE existence counting is shared with
+  edge extraction over all ``m^n`` states, :func:`batch_response_edges`,
+  then one flattened Kahn peel, :func:`kahn_residue`); pure-NE
+  existence counting is shared with
   :func:`repro.batch.kernels.batch_count_pure_nash`;
 * **lockstep Section 3 solvers** — :func:`batch_atwolinks`,
   :func:`batch_asymmetric`, :func:`batch_auniform`: the paper's three
@@ -34,8 +35,8 @@ bit for bit under equal inputs — loads accumulate user by user
 (:func:`numpy.bincount` order), tie-breaks mirror the sequential code
 (first mover, first worst link, lowest link index), and tolerances are
 identical. ``equilibria/nashify.py``, the evaluators in
-``equilibria/potential.py`` and the census half of
-``analysis/cycles.py`` are the ``B = 1`` views of these kernels; the
+``equilibria/potential.py`` and the game graphs of
+``equilibria/game_graph.py`` are the ``B = 1`` views of these kernels; the
 E1-E4/E6 campaign results are pinned against the frozen sequential
 baseline in ``tests/data/pure_seed_baseline.json``.
 """
@@ -64,13 +65,15 @@ __all__ = [
     "batch_verify_ordinal_potential_symmetric",
     "batch_four_cycle_gaps",
     "batch_sampled_cycle_gaps",
+    "batch_response_edges",
+    "kahn_residue",
     "batch_response_cycle_census",
     "batch_atwolinks",
     "batch_asymmetric",
     "batch_auniform",
 ]
 
-#: Census construction is exhaustive; mirror the single-game graph limit.
+#: Census construction is exhaustive; refuse games beyond this many states.
 MAX_CENSUS_STATES = 100_000
 
 #: Combined cap on ``B * m^n`` census nodes: the Kahn peel holds the
@@ -593,26 +596,8 @@ def batch_sampled_cycle_gaps(
 # ---------------------------------------------------------------------- #
 
 
-def batch_response_cycle_census(
-    batch: GameBatch,
-    *,
-    kind: Literal["best", "better"] = "best",
-    tol: float = 1e-9,
-    block_size: int | None = None,
-) -> np.ndarray:
-    """Whether each game's response graph has a cycle: ``(B,)`` bool.
-
-    Walks the full ``m^n`` state space of every stacked game at once:
-    deviation tensors for blocks of states are computed batched, the
-    best-response (the paper's game graph) or better-response edges are
-    extracted vectorised, and one Kahn peel over the flattened
-    ``(game, state)`` node space decides acyclicity for all ``B`` games
-    simultaneously — a game has a cycle iff the peel leaves nodes
-    behind. Edge sets are bit-identical to
-    :func:`repro.equilibria.game_graph.best_response_graph` /
-    ``better_response_graph``, so the verdicts match the sequential
-    census exactly.
-    """
+def _census_states(batch: GameBatch, kind: str) -> int:
+    """The per-game state count ``m^n``, after the census guards."""
     if kind not in ("best", "better"):
         raise ModelError(f"kind must be 'best' or 'better', got {kind!r}")
     b, n, m = batch.batch_size, batch.num_users, batch.num_links
@@ -626,25 +611,32 @@ def batch_response_cycle_census(
             f"census would peel {b} * {total} = {b * total} nodes at once "
             f"(limit {MAX_CENSUS_NODES}); split the batch"
         )
+    return total
+
+
+def batch_response_edges(
+    batch: GameBatch,
+    *,
+    kind: Literal["best", "better"] = "best",
+    tol: float = 1e-9,
+    block_size: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every response edge of the stack as ``(src, dst)`` node ids.
+
+    Node ``g * m^n + r`` is state ``r`` (``enumerate_assignments`` order)
+    of game ``g``. A user who improves by more than ``tol * max(latency,
+    1)`` moves to a best response (``kind="best"``, the paper's game
+    graph) or to any improving link (``"better"``).
+    """
+    total = _census_states(batch, kind)
+    b, n, m = batch.batch_size, batch.num_users, batch.num_links
     weights, capacities = batch.weights, batch.capacities
     traffic = batch.initial_traffic
     assignments = _all_assignments(n, m)
-
-    hook = get_backend().census_cycle
-    if hook is not None:
-        # Fused backend census: per-game edge extraction + Kahn peel
-        # recomputing edges on the fly instead of materialising the
-        # flattened stack. May decline (None) for the generic path.
-        fused = hook(
-            assignments, weights, capacities, traffic, kind == "best", tol
-        )
-        if fused is not None:
-            return fused
-
     place = np.power(m, np.arange(n - 1, -1, -1)).astype(np.int64)
 
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
+    src_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    dst_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     block = block_size or _profile_block(b, n, m)
     users = np.arange(n)[None, None, :]
     for lo in range(0, total, block):
@@ -669,28 +661,24 @@ def batch_response_cycle_census(
         else:
             targets = improving
         gb, ps, us, ls = np.nonzero(targets)
-        if gb.size:
-            src = gb * total + (ps + lo)
-            dst = src + (ls - sig[ps, us]) * place[us]
-            src_parts.append(src)
-            dst_parts.append(dst)
+        src = gb * total + (ps + lo)
+        src_parts.append(src)
+        dst_parts.append(src + (ls - sig[ps, us]) * place[us])
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
 
-    remaining = np.full(b, total, dtype=np.int64)
-    if not src_parts:
-        return np.zeros(b, dtype=bool)
-    src_all = np.concatenate(src_parts)
-    dst_all = np.concatenate(dst_parts)
-    num_nodes = b * total
-    indeg = np.bincount(dst_all, minlength=num_nodes)
-    order = np.argsort(src_all, kind="stable")
-    dst_sorted = dst_all[order]
-    counts = np.bincount(src_all, minlength=num_nodes)
+
+def kahn_residue(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Kahn peel: a mask of the nodes left after repeatedly dropping every
+    node with no incoming edge. None is left iff the graph is acyclic;
+    each leftover node keeps a leftover predecessor."""
+    indeg = np.bincount(dst, minlength=num_nodes)
+    order = np.argsort(src, kind="stable")
+    dst_sorted = dst[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
 
     frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
-        remaining -= np.bincount(frontier // total, minlength=b)
         starts = indptr[frontier]
         lengths = indptr[frontier + 1] - starts
         total_out = int(lengths.sum())
@@ -708,8 +696,41 @@ def batch_response_cycle_census(
         indeg -= np.bincount(dsts, minlength=num_nodes)
         candidates = np.unique(dsts)
         frontier = candidates[indeg[candidates] == 0]
+    # A node's in-degree reaches zero exactly when it is peeled.
+    return indeg > 0
 
-    return remaining > 0
+
+def batch_response_cycle_census(
+    batch: GameBatch,
+    *,
+    kind: Literal["best", "better"] = "best",
+    tol: float = 1e-9,
+    block_size: int | None = None,
+) -> np.ndarray:
+    """Whether each game's response graph has a cycle: ``(B,)`` bool.
+
+    One :func:`kahn_residue` peel over the stack's
+    :func:`batch_response_edges`: a game has a cycle iff some of its
+    states are left over.
+    """
+    total = _census_states(batch, kind)
+    hook = get_backend().census_cycle
+    if hook is not None:
+        # Fused backend census: per-game edge extraction + Kahn peel
+        # recomputing edges on the fly instead of materialising the
+        # flattened stack. May decline (None) for the generic path.
+        assignments = _all_assignments(batch.num_users, batch.num_links)
+        fused = hook(
+            assignments, batch.weights, batch.capacities,
+            batch.initial_traffic, kind == "best", tol,
+        )
+        if fused is not None:
+            return fused
+    src, dst = batch_response_edges(
+        batch, kind=kind, tol=tol, block_size=block_size
+    )
+    left = kahn_residue(src, dst, batch.batch_size * total)
+    return left.reshape(batch.batch_size, total).any(axis=1)
 
 
 # ---------------------------------------------------------------------- #

@@ -15,100 +15,104 @@ of small games:
   whose acyclicity is exactly the finite improvement property used in the
   ordinal-potential discussion of Section 3.2.
 
-Graphs are :class:`networkx.DiGraph` objects with profile tuples as nodes,
-so the standard cycle/condensation toolbox applies directly.
+Both are ``B = 1`` views of :mod:`repro.batch.pure`'s census: its edge
+extraction on a batch of one, and cycles from what its Kahn peel leaves.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Literal
 
-import networkx as nx
 import numpy as np
 
-from repro.errors import ModelError
+from repro.batch.container import GameBatch
+from repro.batch.pure import batch_response_edges, kahn_residue
 from repro.model.game import UncertainRoutingGame
-from repro.model.latency import deviation_latencies
 from repro.model.profiles import PureProfile
-from repro.model.social import enumerate_assignments
 
 __all__ = [
+    "ResponseGraph",
     "better_response_graph",
     "best_response_graph",
     "find_response_cycle",
     "sink_states",
 ]
 
-#: Game-graph construction is exhaustive; refuse beyond this many states.
-MAX_GRAPH_STATES = 100_000
+
+@dataclass(frozen=True)
+class ResponseGraph:
+    """Response edges ``src[k] -> dst[k]`` over the ``m^n`` pure states.
+
+    States are indexed by rank in
+    :func:`~repro.model.social.enumerate_assignments` order (user 0 most
+    significant); :meth:`profiles` maps ranks back to link tuples.
+    """
+
+    num_users: int
+    num_links: int
+    src: np.ndarray
+    dst: np.ndarray
+
+    @property
+    def num_states(self) -> int:
+        return self.num_links**self.num_users
+
+    def profiles(self, ranks) -> list[tuple[int, ...]]:
+        """The link tuple of each state rank in *ranks*."""
+        digits = np.unravel_index(ranks, (self.num_links,) * self.num_users)
+        return list(zip(*(d.tolist() for d in digits)))
 
 
 def _response_graph(
     game: UncertainRoutingGame, kind: Literal["best", "better"], tol: float
-) -> nx.DiGraph:
-    n, m = game.num_users, game.num_links
-    total = m**n
-    if total > MAX_GRAPH_STATES:
-        raise ModelError(
-            f"game graph would have {total} states (limit {MAX_GRAPH_STATES})"
-        )
-    graph = nx.DiGraph()
-    assignments = enumerate_assignments(n, m)
-    for row in assignments:
-        node = tuple(int(x) for x in row)
-        graph.add_node(node)
-        dev = deviation_latencies(game, row)
-        current = dev[np.arange(n), row]
-        scale = np.maximum(current, 1.0)
-        for i in range(n):
-            improving = np.flatnonzero(dev[i] < current[i] - tol * scale[i])
-            if improving.size == 0:
-                continue
-            if kind == "best":
-                best = dev[i].min()
-                targets = improving[
-                    dev[i, improving] <= best + tol * max(best, 1.0)
-                ]
-            else:
-                targets = improving
-            for link in targets:
-                succ = list(node)
-                succ[i] = int(link)
-                graph.add_edge(node, tuple(succ), user=i)
-    return graph
+) -> ResponseGraph:
+    src, dst = batch_response_edges(GameBatch.from_games([game]), kind=kind, tol=tol)
+    return ResponseGraph(game.num_users, game.num_links, src, dst)
 
 
 def best_response_graph(
     game: UncertainRoutingGame, *, tol: float = 1e-9
-) -> nx.DiGraph:
+) -> ResponseGraph:
     """The paper's game graph: defecting users move to best responses."""
     return _response_graph(game, "best", tol)
 
 
 def better_response_graph(
     game: UncertainRoutingGame, *, tol: float = 1e-9
-) -> nx.DiGraph:
+) -> ResponseGraph:
     """Edges for *every* strictly improving unilateral move."""
     return _response_graph(game, "better", tol)
 
 
-def find_response_cycle(graph: nx.DiGraph) -> list[tuple[int, ...]] | None:
+def find_response_cycle(graph: ResponseGraph) -> list[tuple[int, ...]] | None:
     """A directed cycle of the response graph, or ``None`` when acyclic.
 
-    A best-response cycle refutes convergence of the paper's defection
+    Returned as a closed walk of profiles (first == last). A
+    best-response cycle refutes convergence of the paper's defection
     chains; a better-response cycle refutes the ordinal potential.
     """
-    try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
+    left = kahn_residue(graph.src, graph.dst, graph.num_states)
+    if not left.any():
         return None
-    return [edge[0] for edge in edges] + [edges[-1][1]]
+    # Every leftover state keeps a leftover predecessor, so walking
+    # predecessors from any of them must close a loop.
+    inner = left[graph.src] & left[graph.dst]
+    pred = np.full(graph.num_states, -1, dtype=np.int64)
+    pred[graph.dst[inner]] = graph.src[inner]
+    state = int(np.argmax(left))
+    seen: dict[int, int] = {}
+    walk: list[int] = []
+    while state not in seen:
+        seen[state] = len(walk)
+        walk.append(state)
+        state = int(pred[state])
+    cycle = walk[seen[state] :][::-1]
+    return graph.profiles(cycle + cycle[:1])
 
 
-def sink_states(graph: nx.DiGraph) -> list[PureProfile]:
+def sink_states(graph: ResponseGraph) -> list[PureProfile]:
     """States with no outgoing response edge — exactly the pure NE."""
-    sinks = [node for node in graph.nodes if graph.out_degree(node) == 0]
-    if not sinks:
-        return []
-    num_links = 1 + max(max(node) for node in graph.nodes)
-    return [PureProfile(np.asarray(node, dtype=np.intp), num_links) for node in sinks]
+    out_degree = np.bincount(graph.src, minlength=graph.num_states)
+    sinks = graph.profiles(np.flatnonzero(out_degree == 0))
+    return [PureProfile(sink, graph.num_links) for sink in sinks]

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.batch.container import GameBatch
 from repro.batch.pure import (
+    MAX_CENSUS_STATES,
     batch_four_cycle_gaps,
     batch_ordinal_potential_symmetric,
     batch_response_cycle_census,
@@ -53,7 +54,6 @@ from repro.errors import AlgorithmDomainError
 from repro.model.game import UncertainRoutingGame
 from repro.model.profiles import AssignmentLike, as_assignment
 from repro.model.social import enumerate_assignments
-from repro.equilibria.game_graph import MAX_GRAPH_STATES
 from repro.equilibria.best_response import better_response_dynamics
 from repro.util.rng import RandomState, as_generator
 
@@ -171,7 +171,7 @@ def has_better_response_cycle(
     random starts, whose revisits certify cycles (a ``False`` is then
     only "none found").
     """
-    if game.num_links**game.num_users <= MAX_GRAPH_STATES:
+    if game.num_links**game.num_users <= MAX_CENSUS_STATES:
         return bool(
             batch_response_cycle_census(_batch_of_one(game), kind="better")[0]
         )

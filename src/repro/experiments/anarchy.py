@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.analysis.poa import poa_study, poa_sweep_spec
+from repro.errors import SolverError
 from repro.experiments.base import ExperimentResult
 from repro.generators.suites import GridCell, poa_grid
 from repro.runtime import ResultStore, SweepSpec, run_sweep
@@ -186,12 +187,9 @@ def run_e12(
     if not quick:
         # Also re-derive a witness from scratch with the exact search.
         try:
-            searched = search_no_pne_instance(
-                time_budget=150.0, restart_budget=6.0, seed=2
-            )
-            searched_tries = searched.tries
-        except Exception:
-            searched_tries = -1  # budget ran out; canonical witness suffices
+            searched_tries = search_no_pne_instance(seed=2).tries
+        except SolverError:
+            searched_tries = -1  # restarts ran out; canonical witness suffices
     (spec,) = e12_specs(quick=quick)
     sweep = run_sweep(
         spec, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
@@ -204,7 +202,7 @@ def run_e12(
     if searched_tries is not None:
         table.add_row(
             ["fresh witness re-derived by constraint search (restarts)",
-             searched_tries if searched_tries > 0 else "timeout"]
+             searched_tries if searched_tries > 0 else "not found"]
         )
     table.add_row(
         [f"multiplicative instances with PNE (of {sweep_n})", hits]

@@ -25,10 +25,11 @@ instance has a pure NE.
 
 from __future__ import annotations
 
-import time
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from graphlib import TopologicalSorter
 
 import numpy as np
 
@@ -59,6 +60,12 @@ WITNESS_TABLES: tuple = (
     ((1, 4, 4, 4, 4, 4), (1, 1, 3, 3, 3, 3), (1, 1, 2, 2, 2, 2)),
     ((1, 1, 2, 2, 2, 2), (1, 1, 3, 3, 3, 3), (1, 1, 1, 1, 3, 3)),
 )
+
+
+#: Backtracking steps per restart of :func:`search_no_pne_instance`.
+#: Seed 2's sixth restart succeeds in 28; the five before it run past
+#: 20 000, so any cap in between gives the same witness.
+MAX_BACKTRACK_CALLS = 1_000
 
 
 @dataclass(frozen=True)
@@ -102,8 +109,7 @@ def search_no_pne_instance(
     *,
     weights: tuple[int, ...] = WITNESS_WEIGHTS,
     num_links: int = 3,
-    time_budget: float = 60.0,
-    restart_budget: float = 10.0,
+    max_restarts: int = 25,
     seed: RandomState = 0,
 ) -> CounterexampleReport:
     """Exact backtracking search for a no-PNE player-specific game.
@@ -112,22 +118,18 @@ def search_no_pne_instance(
     the induced strict partial order on cost-table entries for
     consistency (a strict edge ``a < b`` is infeasible iff a path
     ``b -> a`` already exists). Randomised restarts reshuffle profile and
-    option orders. Returns the first consistent selection, materialised
-    into integer cost tables by longest-path levelling and *verified*
-    against all profiles.
+    option orders, each with :data:`MAX_BACKTRACK_CALLS` steps. Returns
+    the first consistent selection, materialised into integer cost
+    tables by longest-path levelling and *verified* against all profiles.
 
-    Raises :class:`~repro.errors.SolverError` when the budget runs out —
-    use :func:`canonical_counterexample` for a guaranteed witness.
+    Raises :class:`~repro.errors.SolverError` when *max_restarts* run out
+    — use :func:`canonical_counterexample` for a guaranteed witness.
     """
     rng = as_generator(seed)
     w = np.asarray(weights, dtype=np.int64)
-    deadline = time.monotonic() + time_budget
-    tries = 0
-    while time.monotonic() < deadline:
-        tries += 1
+    for tries in range(1, max_restarts + 1):
         restart_seed = int(rng.integers(2**62))
-        remaining = min(restart_budget, deadline - time.monotonic())
-        chosen = _search_selection(w, num_links, restart_seed, remaining)
+        chosen = _search_selection(w, num_links, restart_seed)
         if chosen is None:
             continue
         tables = _tables_from_selection(w, num_links, chosen)
@@ -136,7 +138,7 @@ def search_no_pne_instance(
             seed_tag = seed if isinstance(seed, int) else -1
             return CounterexampleReport(game=game, tries=tries, seed=seed_tag)
     raise SolverError(
-        f"no counterexample found within {time_budget:.0f}s for weights "
+        f"no counterexample found within {max_restarts} restarts for weights "
         f"{tuple(int(x) for x in w)} — use canonical_counterexample()"
     )
 
@@ -160,9 +162,9 @@ def _profile_options(w: np.ndarray, m: int) -> list[list[tuple[tuple, tuple]]]:
 
 
 def _search_selection(
-    w: np.ndarray, m: int, seed: int, time_budget: float
+    w: np.ndarray, m: int, seed: int
 ) -> list[tuple[tuple, tuple]] | None:
-    """One randomized backtracking run; None on timeout/exhaustion."""
+    """One randomized backtracking run; None on exhaustion of any kind."""
     n = w.size
     total = int(w.sum())
     rng = np.random.default_rng(seed)
@@ -195,7 +197,7 @@ def _search_selection(
         return False
 
     chosen: list = [None] * len(profiles)
-    t0 = time.monotonic()
+    calls = itertools.count(1)
 
     def forward_ok(k: int) -> bool:
         return all(
@@ -204,8 +206,8 @@ def _search_selection(
         )
 
     def backtrack(k: int) -> bool:
-        if time.monotonic() - t0 > time_budget:
-            raise TimeoutError
+        if next(calls) > MAX_BACKTRACK_CALLS:
+            raise SolverError("restart budget exhausted")
         if k == len(profiles):
             return True
         for a, b in profiles[k]:
@@ -224,47 +226,34 @@ def _search_selection(
 
     try:
         return list(chosen) if backtrack(0) else None
-    except TimeoutError:
+    except SolverError:
         return None
 
 
 def _tables_from_selection(
     w: np.ndarray, m: int, chosen: list[tuple[tuple, tuple]]
 ) -> np.ndarray:
-    """Longest-path levelling of the strict partial order into tables."""
-    import networkx as nx
-
+    """Longest-path levelling of the strict partial order into tables
+    (acyclic: the search adds ``a -> b`` only if no path ``b -> a``)."""
     n = w.size
     total = int(w.sum())
-    g = nx.DiGraph()
+    preds: dict[tuple, dict[tuple, int]] = defaultdict(dict)
     for i in range(n):
         for link in range(m):
             for load in range(1, total):
-                g.add_edge((i, link, load), (i, link, load + 1))
-    strict = set()
+                preds[(i, link, load + 1)][(i, link, load)] = 0
     for a, b in chosen:
-        g.add_edge(a, b)
-        strict.add((a, b))
-    cond = nx.condensation(g)
-    mapping = cond.graph["mapping"]
-    level: dict[int, int] = {}
-    for node in nx.topological_sort(cond):
-        lv = 0
-        for pred in cond.predecessors(node):
-            bump = int(
-                any(
-                    (a, b) in strict
-                    for a in cond.nodes[pred]["members"]
-                    for b in cond.nodes[node]["members"]
-                )
-            )
-            lv = max(lv, level[pred] + bump)
-        level[node] = lv
+        preds[b][a] = 1
+    level: dict[tuple, int] = {}
+    for node in TopologicalSorter(preds).static_order():
+        level[node] = max(
+            (level[p] + bump for p, bump in preds.get(node, {}).items()), default=0
+        )
     tables = np.zeros((n, m, total + 1))
     for i in range(n):
         for link in range(m):
             for load in range(1, total + 1):
-                tables[i, link, load] = 1.0 + level[mapping[(i, link, load)]]
+                tables[i, link, load] = 1.0 + level[(i, link, load)]
             tables[i, link, 0] = tables[i, link, 1]
     return tables
 

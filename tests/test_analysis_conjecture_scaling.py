@@ -11,7 +11,7 @@ from repro.analysis.conjecture import (
 )
 from repro.analysis.scaling import THEORETICAL_EXPONENTS, measure_scaling
 from repro.analysis.cycles import (
-    abstract_move_graph,
+    move_cycles,
     realize_cycle,
     search_improvement_cycle_instance,
 )
@@ -174,10 +174,21 @@ class TestScaling:
 
 
 class TestCycleMachinery:
-    def test_abstract_move_graph_shape(self):
-        g = abstract_move_graph(2, 2)
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 8  # each state: 2 users x 1 alt link
+    @pytest.mark.parametrize(
+        "num_users, num_links, max_length, count",
+        # (2, 2): four move-and-return pairs plus the square both ways.
+        [(2, 2, 4, 6), (3, 3, 4, 297), (3, 3, 6, 2889)],
+    )
+    def test_move_cycle_counts(self, num_users, num_links, max_length, count):
+        cycles = list(move_cycles(num_users, num_links, max_length))
+        assert len(cycles) == count
+        shapes = {frozenset(zip(c, c[1:])) for c in cycles}
+        assert len(shapes) == count  # each cycle once, not once per rotation
+        for cycle in cycles:
+            assert cycle[0] == cycle[-1] == min(cycle)
+            assert len(set(cycle[:-1])) == len(cycle) - 1 <= max_length
+            for s, t in zip(cycle, cycle[1:]):
+                assert sum(a != b for a, b in zip(s, t)) == 1
 
     def test_two_user_two_link_cycles_unrealisable(self):
         """The library-level proof sketch: the canonical 4-cycle cannot be
@@ -198,6 +209,6 @@ class TestCycleMachinery:
         result = search_improvement_cycle_instance(
             max_cycle_length=4, weight_draws=3, max_cycles=200, seed=0
         )
-        assert result.cycles_tested > 0
+        assert result.cycles_tested == 200  # of 297: cut by max_cycles
         # Length-4 cycles are provably unrealisable.
         assert not result.found

@@ -7,10 +7,13 @@ functions used as references are themselves the ``B = 1`` views, so the
 real independent reference is the vendored sequential implementation in
 ``benchmarks/pure_seed_baseline.py``, which the frozen-baseline tests
 exercise; here the focus is batch-vs-slice agreement, masks, edge
-cases and the census machinery.
+cases and the census machinery, whose edges are also checked against
+the per-state reference loop in ``tests/response_oracle.py``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -58,6 +61,7 @@ from repro.generators.games import (
     random_uniform_beliefs_game,
 )
 from repro.util.rng import as_generator, stable_seed
+from response_oracle import graph_edges, has_cycle, oracle_edges
 
 
 def _seeds(tag, count):
@@ -238,18 +242,23 @@ class TestPotentialKernels:
 
 class TestResponseCycleCensus:
     def test_matches_graph_census_slicewise(self):
-        seeds = _seeds("census", 16)
-        batch = GameBatch.from_seeds(seeds, 3, 3)
-        best = batch_response_cycle_census(batch, kind="best")
-        better = batch_response_cycle_census(batch, kind="better")
-        for i in range(16):
-            game = batch.game(i)
-            assert best[i] == (
-                find_response_cycle(best_response_graph(game)) is not None
-            )
-            assert better[i] == (
-                find_response_cycle(better_response_graph(game)) is not None
-            )
+        """Against the per-state reference loop: the same edge sets,
+        the same verdicts, and witnesses that only follow its edges —
+        for both edge rules, with and without forced ties (tol < 0)."""
+        batch = GameBatch.from_seeds(_seeds("census", 16), 3, 3)
+        graphs = {"best": best_response_graph, "better": better_response_graph}
+        for kind, tol in itertools.product(graphs, (1e-9, -0.05)):
+            census = batch_response_cycle_census(batch, kind=kind, tol=tol)
+            for i in range(16):
+                expected = oracle_edges(batch.game(i), kind, tol)
+                graph = graphs[kind](batch.game(i), tol=tol)
+                assert graph_edges(graph) == expected
+                assert census[i] == has_cycle(expected)
+                witness = find_response_cycle(graph)
+                assert (witness is not None) == census[i]
+                if witness is not None:
+                    assert witness[0] == witness[-1]
+                    assert set(zip(witness, witness[1:])) <= expected
 
     def test_cycle_positive_path(self):
         """A negative tolerance turns ties into 'improvements', forcing

@@ -105,17 +105,22 @@ class TestQuickRunners:
 
 class TestRuntimeImports:
     def test_e6_imports_only_declared_dependencies(self):
-        """Running an experiment loads no third-party distribution
-        beyond the declared runtime dependencies: E6's ordinal potential
-        used to import scipy for ``log k!``, and no optional array
-        library may load either. Checked in a fresh interpreter, with
-        the default backend, because this process has imported more."""
+        """The runtime loads no third-party distribution but numpy: not
+        the CLI (what ``serve`` loads), not E4's and E6's game graphs and
+        cycle searches (once a graph library), not E6's ordinal potential
+        (once scipy, for ``log k!``), not the Milchtaich search, and no
+        optional array library. Checked in a fresh interpreter, with the
+        default backend, because this process has imported more."""
         script = (
             "import sys\n"
             "from importlib.metadata import packages_distributions\n"
             "before = {name.partition('.')[0] for name in sys.modules}\n"
+            "import repro.cli\n"
             "from repro.experiments.registry import run_experiment\n"
+            "from repro.substrates import search_no_pne_instance\n"
+            "assert run_experiment('E4', quick=True).passed\n"
             "assert run_experiment('E6', quick=True).passed\n"
+            "assert search_no_pne_instance(seed=2).verify()\n"
             "after = {name.partition('.')[0] for name in sys.modules}\n"
             "owners = packages_distributions()\n"
             "new = after - before - {'repro'}\n"
@@ -133,8 +138,7 @@ class TestRuntimeImports:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
-        assert "scipy" not in loaded
-        assert loaded <= {"numpy", "networkx"}
+        assert loaded <= {"numpy"}
 
 
 class TestCli:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SolverError
 from repro.substrates.milchtaich import (
     WITNESS_TABLES,
     WITNESS_WEIGHTS,
@@ -56,18 +57,20 @@ class TestConstraintSearch:
     def test_rederives_a_witness(self):
         """The exact search reproduces a no-PNE instance from scratch.
 
-        seed=2 with 6s restarts reaches a satisfying witness selection in
-        about 6 restarts (calibrated; the search is exact but restart
-        order is luck-sensitive).
+        Restarts run on a backtracking-step budget, not a clock, so the
+        count is exact: seed 2's first five restarts give up and the
+        sixth finds a witness selection.
         """
-        report = search_no_pne_instance(
-            time_budget=150.0, restart_budget=6.0, seed=2
-        )
+        report = search_no_pne_instance(seed=2)
         assert report.verify()
-        assert report.tries >= 1
+        assert report.tries == 6
         np.testing.assert_array_equal(
             report.game.weights, np.asarray(WITNESS_WEIGHTS)
         )
+
+    def test_restart_budget_exhausted(self):
+        with pytest.raises(SolverError, match="within 5 restarts"):
+            search_no_pne_instance(seed=2, max_restarts=5)
 
 
 class TestMultiplicativeSweep:
