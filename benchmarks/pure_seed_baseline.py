@@ -17,8 +17,11 @@ algorithms, the pure-NE conditions and enumerator, the random-game
 generators, the latency engine) are imported from the library: they
 are byte-identical to what the seed pipeline called, so importing them
 keeps the baseline honest without duplicating unchanged code. The
-response graphs are imported too, but they are no longer the seed's
-code: they have since become ``B = 1`` views of the batched census.
+best-response dynamics come from ``seed_baseline.py``, which vendors
+the seed's per-game loop verbatim: the library's dynamics have since
+become ``B = 1`` views of the lockstep engine. The response graphs are
+imported from the library, but they are no longer the seed's code
+either: they have since become ``B = 1`` views of the batched census.
 The E4 cycle counts only need their verdicts, which
 ``tests/test_batch_pure.py`` checks edge for edge against the seed's
 per-state loop (kept in ``tests/response_oracle.py``). The one other
@@ -33,7 +36,6 @@ import math
 
 import numpy as np
 
-from repro.equilibria.best_response import best_response_dynamics
 from repro.equilibria.conditions import is_pure_nash
 from repro.equilibria.enumeration import count_pure_nash
 from repro.equilibria.game_graph import best_response_graph, find_response_cycle
@@ -53,6 +55,7 @@ from repro.model.latency import pure_latency_of_user
 from repro.model.profiles import PureProfile, as_assignment, loads_of
 from repro.model.social import enumerate_assignments, social_costs_of_pure
 from repro.util.rng import as_generator, stable_seed
+from seed_baseline import best_response_dynamics
 
 
 # --- seed equilibria/nashify.py ------------------------------------ #

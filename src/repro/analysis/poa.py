@@ -101,12 +101,7 @@ def empirical_coordination_ratios(
     """
     if equilibria is None:
         if game.num_links**game.num_users <= 200_000:
-            batch = GameBatch(
-                game.weights[None],
-                game.capacities[None],
-                initial_traffic=game.initial_traffic[None],
-            )
-            result = batch_empirical_ratios(batch)
+            result = batch_empirical_ratios(GameBatch.from_games([game]))
             if int(result.num_equilibria[0]) == 0:
                 raise ValueError("no equilibria supplied or found")
             return float(result.ratio_sc1[0]), float(result.ratio_sc2[0])

@@ -173,7 +173,6 @@ def _dynamics(
     max_regret,
     max_steps,
     tol,
-    detect_cycles,
     table_cap,
 ):
     b, n = sigma.shape
@@ -187,29 +186,25 @@ def _dynamics(
         improving = np.empty(n, dtype=np.bool_)
         currents = np.empty(n)
         minima = np.empty(n)
-        if detect_cycles:
-            table = np.full(table_cap, -1, dtype=np.int64)
-        else:
-            table = np.empty(0, dtype=np.int64)
+        table = np.full(table_cap, -1, dtype=np.int64)
         for _ in range(max_steps):
-            if detect_cycles:
-                code = np.int64(0)
-                for i in range(n):
-                    code += sigma[g, i] * radix[i]
-                slot = (code * _HASH_MULT) & mask
-                revisited = False
-                while True:
-                    held = table[slot]
-                    if held == -1:
-                        table[slot] = code
-                        break
-                    if held == code:
-                        revisited = True
-                        break
-                    slot = (slot + 1) & mask
-                if revisited:
-                    cycled[g] = True
+            code = np.int64(0)
+            for i in range(n):
+                code += sigma[g, i] * radix[i]
+            slot = (code * _HASH_MULT) & mask
+            revisited = False
+            while True:
+                held = table[slot]
+                if held == -1:
+                    table[slot] = code
                     break
+                if held == code:
+                    revisited = True
+                    break
+                slot = (slot + 1) & mask
+            if revisited:
+                cycled[g] = True
+                break
             for link in range(m):
                 load[link] = 0.0
             for i in range(n):
@@ -547,11 +542,10 @@ class NumbaBackend(ArrayBackend):
         max_regret,
         max_steps,
         tol,
-        detect_cycles,
     ):
         n = sigma.shape[1]
         m = capacities.shape[2]
-        if detect_cycles and m**n >= 2**63:
+        if m**n >= 2**63:
             # Profile codes overflow int64; decline so the generic
             # byte-hash lockstep path handles these enormous games.
             return None
@@ -573,7 +567,6 @@ class NumbaBackend(ArrayBackend):
             bool(max_regret),
             int(max_steps),
             float(tol),
-            bool(detect_cycles),
             cap,
         )
         return out.astype(np.intp, copy=False), converged, steps, cycled

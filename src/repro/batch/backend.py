@@ -89,10 +89,10 @@ class ArrayBackend:
         ``(sigma, steps, converged)``; per-game trajectories must match
         the sequential procedure move for move.
     ``dynamics_loop(sigma, weights, capacities, traffic, best,
-    max_regret, max_steps, tol, detect_cycles)``
-        The best-/better-response stepper: returns ``(sigma,
-        converged, steps, cycled)`` or ``None`` to decline (the generic
-        lockstep path runs instead).
+    max_regret, max_steps, tol)``
+        The best-/better-response stepper, cycle detection always on:
+        returns ``(sigma, converged, steps, cycled)`` or ``None`` to
+        decline (the generic lockstep path runs instead).
     ``census_cycle(assignments, weights, capacities, traffic, best,
     tol)``
         ``(B,)`` bool response-cycle verdicts over the full ``m^n``

@@ -7,16 +7,20 @@ converge (no user can improve), cycle (a deterministic schedule revisits
 a profile), or exhaust the step budget.
 
 Semantics parity: for every game ``b`` the trajectory, accepted-move
-count, convergence flag and cycle flag are identical to running
-:func:`repro.equilibria.best_response.best_response_dynamics` (or the
-better-response variant) on that game alone with the same start profile,
-schedule, mode and tolerance. The campaign's determinism guarantee —
-batched results equal the historical per-instance loop bit for bit —
-rests on this, so tie-breaking (lowest user index, lowest link index,
-first improving link) mirrors the single-game code exactly.
+count, convergence flag and cycle flag equal those of the historical
+per-game loop run on that game alone with the same start profile,
+schedule, mode and tolerance. ``tests/dynamics_oracle.py`` keeps that
+loop as the reference, and the tests hold this engine to it state for
+state. Tie-breaking (lowest user index, lowest link index, first
+improving link) mirrors it exactly; the campaign's bit-for-bit
+determinism guarantee rests on this.
+:func:`repro.equilibria.best_response.best_response_dynamics` and
+:func:`~repro.equilibria.best_response.better_response_dynamics` are
+the ``B = 1`` views of this engine.
 
-Only deterministic schedules are supported in lockstep; the ``random``
-schedule needs one RNG stream per game and stays a single-game feature.
+Only the deterministic schedules ``round_robin`` and ``max_regret``
+exist, so a revisited profile proves a cycle and every run ends: it
+converges, cycles or exhausts ``max_steps``.
 """
 
 from __future__ import annotations
@@ -141,12 +145,11 @@ def _run_batch_dynamics(
     tol: float,
     seeds: Sequence[int] | None,
     seed: RandomState,
-    detect_cycles: bool,
 ) -> BatchDynamicsResult:
     if schedule not in ("round_robin", "max_regret"):
         raise ModelError(
-            f"lockstep dynamics supports deterministic schedules only, "
-            f"got {schedule!r} (use the single-game API for 'random')"
+            f"dynamics support the deterministic schedules 'round_robin' "
+            f"and 'max_regret' only, got {schedule!r}"
         )
     sigma = _start_profiles(batch, start, seeds, seed)
     b, n = sigma.shape
@@ -167,7 +170,6 @@ def _run_batch_dynamics(
             schedule == "max_regret",
             max_steps,
             tol,
-            detect_cycles,
         )
         if fused is not None:
             f_sigma, f_converged, f_steps, f_cycled = fused
@@ -192,24 +194,23 @@ def _run_batch_dynamics(
     iteration = 0
     while active.any() and iteration < max_steps:
         idx = np.flatnonzero(active)
-        if detect_cycles:
-            # A deterministic schedule revisiting a profile proves a cycle.
-            if radix is not None:
-                codes = sigma[idx] @ radix
+        # A deterministic schedule revisiting a profile proves a cycle.
+        if radix is not None:
+            codes = sigma[idx] @ radix
+        else:
+            codes = [sigma[g].tobytes() for g in idx]
+        hit_cycle = False
+        for g, key in zip(idx, codes):
+            if key in seen[g]:
+                cycled[g] = True
+                active[g] = False
+                hit_cycle = True
             else:
-                codes = [sigma[g].tobytes() for g in idx]
-            hit_cycle = False
-            for g, key in zip(idx, codes):
-                if key in seen[g]:
-                    cycled[g] = True
-                    active[g] = False
-                    hit_cycle = True
-                else:
-                    seen[g].add(key)
-            if hit_cycle:
-                idx = np.flatnonzero(active)
-                if idx.size == 0:
-                    break
+                seen[g].add(key)
+        if hit_cycle:
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
 
         if idx.size == b:
             sig_a, w_a, caps_a, traffic_a = sigma, weights, caps, traffic
@@ -236,7 +237,7 @@ def _run_batch_dynamics(
             dev_a = dev[has_mover]
             cur_a = current[has_mover]
         if schedule == "round_robin":
-            # First improving user == movers.min() of the single-game code.
+            # First improving user == movers.min() of the per-game loop.
             user = np.argmax(imp, axis=1)
         else:  # max_regret
             regret = np.where(imp, cur_a - dev_a.min(axis=-1), -np.inf)
@@ -270,7 +271,6 @@ def batch_best_response_dynamics(
     tol: float = 1e-9,
     seeds: Sequence[int] | None = None,
     seed: RandomState = None,
-    detect_cycles: bool = True,
 ) -> BatchDynamicsResult:
     """Iterate single-user best responses on all ``B`` games in lockstep.
 
@@ -288,7 +288,6 @@ def batch_best_response_dynamics(
         tol=tol,
         seeds=seeds,
         seed=seed,
-        detect_cycles=detect_cycles,
     )
 
 
@@ -301,7 +300,6 @@ def batch_better_response_dynamics(
     tol: float = 1e-9,
     seeds: Sequence[int] | None = None,
     seed: RandomState = None,
-    detect_cycles: bool = True,
 ) -> BatchDynamicsResult:
     """Iterate single-user *better* responses (first improving link)."""
     return _run_batch_dynamics(
@@ -313,5 +311,4 @@ def batch_better_response_dynamics(
         tol=tol,
         seeds=seeds,
         seed=seed,
-        detect_cycles=detect_cycles,
     )

@@ -19,9 +19,10 @@ same code serves three call shapes:
   campaign sweeping thousands of instances in one kernel call
   (:func:`batch_count_pure_nash`).
 
-Numerical parity note: :func:`batch_loads` accumulates per-link loads
-user by user (in user-index order), matching :func:`numpy.bincount` —
-and therefore the single-game dynamics trajectories — bit for bit.
+Numerical parity note: :func:`batch_loads` is one weighted
+:func:`numpy.bincount` over ``(game, link)`` codes, so each link's load
+sums its users in user-index order, bit for bit the single-game
+``loads_of`` and therefore the per-game dynamics trajectories.
 :func:`sweep_pure_nash_mask` instead computes loads with one GEMM,
 whose summation order may differ from the historical per-link masked
 sums in the last bit for n > 8; Nash *verdicts* are insensitive to
@@ -44,9 +45,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.batch.backend import get_backend
-from repro.errors import DimensionError
+from repro.errors import DimensionError, ModelError
 
 __all__ = [
+    "MAX_EXHAUSTIVE_PROFILES",
+    "enumerate_assignments",
     "batch_loads",
     "sweep_pure_nash_mask",
     "batch_pure_latencies",
@@ -73,33 +76,23 @@ def _scatter_loads(
     weights: np.ndarray,
     num_links: int,
     initial_traffic: np.ndarray | None = None,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-link loads for ``(A, n)`` assignments, user-by-user.
 
-    Accumulation order matches :func:`numpy.bincount` with weights (the
-    single-game ``loads_of``), which is the bit-parity contract every
-    batched kernel rests on. Steppers that rebuild loads every
-    iteration pass a preallocated ``(A, num_links)`` buffer via *out* to
-    skip the per-step allocation.
+    One weighted :func:`numpy.bincount` over the flat ``row * m + link``
+    codes: bincount walks its input in order, so every ``(row, link)``
+    bin sums that row's users in index order starting from ``0.0`` —
+    the accumulation order of the single-game ``loads_of``, which is
+    the bit-parity contract every batched kernel rests on.
     """
     hook = get_backend().scatter_loads
     if hook is not None:
-        loads = hook(sigma, weights, num_links, initial_traffic)
-        if out is not None:
-            out[:] = loads
-            return out
-        return loads
-    a, n = sigma.shape
-    if out is not None:
-        loads = out
-        loads[:] = 0.0
-    else:
-        loads = np.zeros((a, num_links))
-    rows = np.arange(a)
-    for i in range(n):
-        loads[rows, sigma[:, i]] += weights[:, i]
+        return hook(sigma, weights, num_links, initial_traffic)
+    a = sigma.shape[0]
+    codes = sigma + (np.arange(a) * num_links)[:, None]
+    loads = np.bincount(codes.ravel(), weights=weights.ravel(), minlength=a * num_links)
+    # An empty input (A = 0) bincounts to int64; keep float64 loads.
+    loads = loads.astype(np.float64, copy=False).reshape(a, num_links)
     if initial_traffic is not None:
         loads += initial_traffic
     return loads
@@ -252,6 +245,9 @@ def _profile_block(num_games: int, num_users: int, num_links: int) -> int:
     return max(budget // per_profile, 1)
 
 
+#: Refuse exhaustive enumeration beyond this many profiles (~1.6e7 doubles).
+MAX_EXHAUSTIVE_PROFILES = 2_000_000
+
 #: Per-cache bound on *total* cached elements (~64 MB of float64 each).
 _SWEEP_CACHE_MAX_ELEMENTS = 8_000_000
 _ASSIGNMENT_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -274,6 +270,26 @@ def _cache_put(cache: dict, key, value: np.ndarray) -> None:
     cache[key] = value
 
 
+def enumerate_assignments(num_users: int, num_links: int) -> np.ndarray:
+    """All ``m^n`` pure assignments as an ``(m^n, n)`` intp matrix.
+
+    Assignments are produced in mixed-radix order (user 0 is the most
+    significant digit), so row ``r`` encodes ``r`` written base ``m``.
+    """
+    total = num_links**num_users
+    if total > MAX_EXHAUSTIVE_PROFILES:
+        raise ModelError(
+            f"{num_links}^{num_users} = {total} assignments exceed the "
+            f"exhaustive limit of {MAX_EXHAUSTIVE_PROFILES}"
+        )
+    codes = np.arange(total, dtype=np.int64)
+    out = np.empty((total, num_users), dtype=np.intp)
+    for i in range(num_users - 1, -1, -1):
+        out[:, i] = codes % num_links
+        codes //= num_links
+    return out
+
+
 def _all_assignments(num_users: int, num_links: int) -> np.ndarray:
     """Memoised read-only ``(m^n, n)`` assignment table for sweeps.
 
@@ -283,8 +299,6 @@ def _all_assignments(num_users: int, num_links: int) -> np.ndarray:
     key = (num_users, num_links)
     table = _ASSIGNMENT_CACHE.get(key)
     if table is None:
-        from repro.model.social import enumerate_assignments
-
         table = enumerate_assignments(num_users, num_links)
         table.setflags(write=False)
         _cache_put(_ASSIGNMENT_CACHE, key, table)

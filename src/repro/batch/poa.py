@@ -34,27 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.batch.container import GameBatch
-from repro.batch.kernels import _all_assignments, _block_onehot, sweep_pure_nash_mask
+from repro.batch.kernels import (
+    MAX_EXHAUSTIVE_PROFILES,
+    _all_assignments,
+    _block_onehot,
+    enumerate_assignments,
+    sweep_pure_nash_mask,
+)
 from repro.batch.mixed import (
     batch_fully_mixed_candidate,
     batch_min_expected_latencies,
     normalize_rows,
 )
 from repro.errors import ModelError
-
-#: Mirrors :data:`repro.model.social.MAX_EXHAUSTIVE_PROFILES` — kept as a
-#: module constant here because importing :mod:`repro.model.social` at
-#: module level would close an import cycle through the model layer
-#: (``model.latency`` -> ``batch`` -> ``batch.poa`` -> ``model.social``);
-#: a cross-check test asserts the two stay equal.
-MAX_EXHAUSTIVE_PROFILES = 2_000_000
-
-
-def enumerate_assignments(num_users: int, num_links: int) -> np.ndarray:
-    """Lazy re-export of :func:`repro.model.social.enumerate_assignments`."""
-    from repro.model.social import enumerate_assignments as impl
-
-    return impl(num_users, num_links)
 
 __all__ = [
     "batch_poa_bound_uniform",

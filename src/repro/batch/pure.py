@@ -218,7 +218,6 @@ def batch_nashify_common_beliefs(
         steps = np.zeros(b, dtype=np.int64)
         all_rows = np.arange(b)[:, None]
         user_cols = np.arange(n)[None, :]
-        loads_buf = np.empty((b, m))
 
         iteration = 0
         while active.any() and iteration < max_steps:
@@ -226,7 +225,7 @@ def batch_nashify_common_beliefs(
             a = idx.size
             sig_a = sigma[idx]
             w_a = weights[idx]
-            loads = _scatter_loads(sig_a, w_a, m, traffic[idx], out=loads_buf[:a])
+            loads = _scatter_loads(sig_a, w_a, m, traffic[idx])
             dev = deviation_slab(
                 sig_a,
                 w_a,

@@ -11,22 +11,28 @@ These dynamics serve three roles in the reproduction:
    (B. Monien): a better-response cycle certifies that the game has no
    ordinal potential function.
 
-Deterministic schedules make revisiting a state a proof of cycling, so
-cycle detection is a dictionary lookup on visited profiles.
+Both dynamics are the ``B = 1`` views of the lockstep engine in
+:mod:`repro.batch.dynamics`: a single game steps through the same code
+that advances a whole ``(B, n, m)`` stack. Its schedules are
+deterministic, so revisiting a profile is a proof of cycling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.batch.container import GameBatch
+from repro.batch.dynamics import (
+    BatchSchedule,
+    batch_best_response_dynamics,
+    batch_better_response_dynamics,
+)
 from repro.model.game import UncertainRoutingGame
 from repro.model.latency import deviation_latencies
 from repro.model.profiles import AssignmentLike, PureProfile, as_assignment
-from repro.util.rng import RandomState, as_generator
+from repro.util.rng import RandomState
 
 __all__ = [
     "DynamicsResult",
@@ -34,8 +40,6 @@ __all__ = [
     "best_response_dynamics",
     "better_response_dynamics",
 ]
-
-Schedule = Literal["round_robin", "max_regret", "random"]
 
 
 def best_responses(game: UncertainRoutingGame, assignment: AssignmentLike) -> np.ndarray:
@@ -62,115 +66,41 @@ class DynamicsResult:
     steps:
         Number of accepted improvement moves.
     cycled:
-        True when the trajectory revisited a profile (possible only for
-        deterministic schedules; certifies a better-/best-response cycle).
-    cycle:
-        The cyclic segment of the trajectory when ``cycled``.
-    history:
-        Visited profiles in order (first entry is the start profile).
+        True when the trajectory revisited a profile, which certifies a
+        better-/best-response cycle.
     """
 
     profile: PureProfile
     converged: bool
     steps: int
-    cycled: bool = False
-    cycle: list[PureProfile] = field(default_factory=list)
-    history: list[PureProfile] = field(default_factory=list)
+    cycled: bool
 
 
-def _improvers(
-    dev: np.ndarray, sigma: np.ndarray, tol: float
-) -> np.ndarray:
-    """Users with a strictly improving deviation under tolerance *tol*."""
-    current = dev[np.arange(sigma.size), sigma]
-    scale = np.maximum(current, 1.0)
-    return np.flatnonzero(dev.min(axis=1) < current - tol * scale)
-
-
-def _run_dynamics(
+def _run_view(
+    engine,
     game: UncertainRoutingGame,
     start: AssignmentLike | None,
-    *,
-    mode: Literal["best", "better"],
-    schedule: Schedule,
+    schedule: BatchSchedule,
     max_steps: int,
     tol: float,
     seed: RandomState,
-    record_history: bool,
-    raise_on_budget: bool,
 ) -> DynamicsResult:
-    n, m = game.num_users, game.num_links
-    rng = as_generator(seed)
-    if start is None:
-        sigma = rng.integers(0, m, size=n).astype(np.intp)
-    else:
-        sigma = as_assignment(start, n, m).copy()
-
-    history: list[PureProfile] = []
-    seen: dict[bytes, int] = {}
-    deterministic = schedule != "random"
-
-    def snapshot() -> PureProfile:
-        return PureProfile(sigma.copy(), m)
-
-    if record_history:
-        history.append(snapshot())
-
-    steps = 0
-    while steps < max_steps:
-        if deterministic:
-            key = sigma.tobytes()
-            if key in seen:
-                # Deterministic revisit => the remaining trajectory cycles.
-                start_idx = seen[key]
-                cycle = history[start_idx:] if record_history else []
-                return DynamicsResult(
-                    profile=snapshot(),
-                    converged=False,
-                    steps=steps,
-                    cycled=True,
-                    cycle=cycle,
-                    history=history,
-                )
-            seen[key] = len(history) - 1 if record_history else steps
-
-        dev = deviation_latencies(game, sigma)
-        movers = _improvers(dev, sigma, tol)
-        if movers.size == 0:
-            return DynamicsResult(
-                profile=snapshot(), converged=True, steps=steps, history=history
-            )
-
-        if schedule == "round_robin":
-            user = int(movers.min())
-        elif schedule == "max_regret":
-            current = dev[movers, sigma[movers]]
-            regret = current - dev[movers].min(axis=1)
-            user = int(movers[int(np.argmax(regret))])
-        else:  # random
-            user = int(rng.choice(movers))
-
-        row = dev[user]
-        if mode == "best":
-            target = int(np.argmin(row))
-        else:
-            current_cost = row[sigma[user]]
-            scale = max(current_cost, 1.0)
-            better = np.flatnonzero(row < current_cost - tol * scale)
-            target = int(better[0]) if deterministic else int(rng.choice(better))
-
-        sigma[user] = target
-        steps += 1
-        if record_history:
-            history.append(snapshot())
-
-    if raise_on_budget:
-        raise ConvergenceError(
-            f"dynamics did not converge within {max_steps} steps "
-            f"(n={n}, m={m}, schedule={schedule})"
-        )
+    sigma = None
+    if start is not None:
+        sigma = as_assignment(start, game.num_users, game.num_links)[None, :]
+    result = engine(
+        GameBatch.from_games([game]),
+        sigma,
+        schedule=schedule,
+        max_steps=max_steps,
+        tol=tol,
+        seed=seed,
+    )
     return DynamicsResult(
-        profile=snapshot(), converged=False, steps=steps, history=history
+        profile=PureProfile(result.profiles[0], game.num_links),
+        converged=bool(result.converged[0]),
+        steps=int(result.steps[0]),
+        cycled=bool(result.cycled[0]),
     )
 
 
@@ -178,28 +108,20 @@ def best_response_dynamics(
     game: UncertainRoutingGame,
     start: AssignmentLike | None = None,
     *,
-    schedule: Schedule = "round_robin",
+    schedule: BatchSchedule = "round_robin",
     max_steps: int = 100_000,
     tol: float = 1e-9,
     seed: RandomState = None,
-    record_history: bool = False,
-    raise_on_budget: bool = False,
 ) -> DynamicsResult:
     """Iterate single-user *best* responses until no user can improve.
 
-    With a deterministic schedule a revisited profile is reported as a
-    best-response cycle (``cycled=True``) instead of looping forever.
+    A revisited profile is reported as a best-response cycle
+    (``cycled=True``) instead of looping forever. Without *start*, the
+    start profile is drawn from *seed*. The ``B = 1`` view of
+    :func:`repro.batch.dynamics.batch_best_response_dynamics`.
     """
-    return _run_dynamics(
-        game,
-        start,
-        mode="best",
-        schedule=schedule,
-        max_steps=max_steps,
-        tol=tol,
-        seed=seed,
-        record_history=record_history,
-        raise_on_budget=raise_on_budget,
+    return _run_view(
+        batch_best_response_dynamics, game, start, schedule, max_steps, tol, seed
     )
 
 
@@ -207,27 +129,18 @@ def better_response_dynamics(
     game: UncertainRoutingGame,
     start: AssignmentLike | None = None,
     *,
-    schedule: Schedule = "round_robin",
+    schedule: BatchSchedule = "round_robin",
     max_steps: int = 100_000,
     tol: float = 1e-9,
     seed: RandomState = None,
-    record_history: bool = False,
-    raise_on_budget: bool = False,
 ) -> DynamicsResult:
-    """Iterate single-user *better* responses (first/random improving link).
+    """Iterate single-user *better* responses (first improving link).
 
     Convergence of better-response dynamics from every start is exactly
     the finite-improvement property (FIP); a detected cycle refutes the
-    existence of an ordinal potential for the instance.
+    existence of an ordinal potential for the instance. The ``B = 1``
+    view of :func:`repro.batch.dynamics.batch_better_response_dynamics`.
     """
-    return _run_dynamics(
-        game,
-        start,
-        mode="better",
-        schedule=schedule,
-        max_steps=max_steps,
-        tol=tol,
-        seed=seed,
-        record_history=record_history,
-        raise_on_budget=raise_on_budget,
+    return _run_view(
+        batch_better_response_dynamics, game, start, schedule, max_steps, tol, seed
     )

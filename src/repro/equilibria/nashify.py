@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.batch.container import GameBatch
 from repro.batch.pure import (
     BatchNashifyResult,
@@ -60,18 +58,6 @@ class NashifyResult:
         return self.max_congestion_after <= self.max_congestion_before * (
             1 + 1e-9
         )
-
-
-def _as_batch_of_one(
-    game: UncertainRoutingGame, start: AssignmentLike
-) -> tuple[GameBatch, np.ndarray]:
-    sigma = as_assignment(start, game.num_users, game.num_links)
-    batch = GameBatch(
-        game.weights[None, :],
-        game.capacities[None, :, :],
-        initial_traffic=game.initial_traffic[None, :],
-    )
-    return batch, sigma[None, :]
 
 
 def _unpack(result: BatchNashifyResult, num_links: int) -> NashifyResult:
@@ -108,8 +94,10 @@ def nashify_common_beliefs(
             "nashify_common_beliefs requires common beliefs; "
             "use nashify() for general games"
         )
-    batch, sigma = _as_batch_of_one(game, start)
-    result = batch_nashify_common_beliefs(batch, sigma, max_steps=max_steps)
+    sigma = as_assignment(start, game.num_users, game.num_links)
+    result = batch_nashify_common_beliefs(
+        GameBatch.from_games([game]), sigma[None, :], max_steps=max_steps
+    )
     return _unpack(result, game.num_links)
 
 
@@ -127,6 +115,8 @@ def nashify(
     after so experiments can quantify the gap to the classic guarantee.
     The ``B = 1`` view of :func:`repro.batch.pure.batch_nashify`.
     """
-    batch, sigma = _as_batch_of_one(game, start)
-    result = batch_nashify(batch, sigma, max_steps=max_steps)
+    sigma = as_assignment(start, game.num_users, game.num_links)
+    result = batch_nashify(
+        GameBatch.from_games([game]), sigma[None, :], max_steps=max_steps
+    )
     return _unpack(result, game.num_links)

@@ -29,7 +29,9 @@ Every evaluator here is the ``B = 1`` view of a batched kernel in
 checks, the four-cycle gap (both the exhaustive enumeration and the
 sampled estimate, whose RNG stream is replayed draw for draw), and the
 small-game acyclicity test, which delegates to the stacked
-response-cycle census instead of materialising a graph object.
+response-cycle census instead of materialising a graph object. The
+large-game cycle probe runs its restarts as one lockstep stack of
+:mod:`repro.batch.dynamics`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import itertools
 import numpy as np
 
 from repro.batch.container import GameBatch
+from repro.batch.dynamics import batch_better_response_dynamics
 from repro.batch.pure import (
     MAX_CENSUS_STATES,
     batch_four_cycle_gaps,
@@ -54,7 +57,6 @@ from repro.errors import AlgorithmDomainError
 from repro.model.game import UncertainRoutingGame
 from repro.model.profiles import AssignmentLike, as_assignment
 from repro.model.social import enumerate_assignments
-from repro.equilibria.best_response import better_response_dynamics
 from repro.util.rng import RandomState, as_generator
 
 __all__ = [
@@ -65,14 +67,6 @@ __all__ = [
     "ordinal_potential_symmetric",
     "verify_ordinal_potential_symmetric",
 ]
-
-
-def _batch_of_one(game: UncertainRoutingGame) -> GameBatch:
-    return GameBatch(
-        game.weights[None, :],
-        game.capacities[None, :, :],
-        initial_traffic=game.initial_traffic[None, :],
-    )
 
 
 def _exhaustive_cycle_blocks(
@@ -133,7 +127,7 @@ def exact_potential_cycle_gap(
     link_pairs = list(itertools.permutations(range(m), 2))
     exhaustive_count = len(pairs) * len(link_pairs) ** 2 * m ** max(n - 2, 0)
 
-    batch = _batch_of_one(game)
+    batch = GameBatch.from_games([game])
     if num_samples is None and exhaustive_count <= 200_000:
         pair_arr, bases, links_i, links_j = _exhaustive_cycle_blocks(n, m)
         sigma0, move_users, move_links = _four_cycle_inputs(
@@ -167,23 +161,22 @@ def has_better_response_cycle(
 
     Small games get the exact census (the ``B = 1`` view of
     :func:`repro.batch.pure.batch_response_cycle_census`); larger games
-    are probed with deterministic better-response trajectories from
-    random starts, whose revisits certify cycles (a ``False`` is then
-    only "none found").
+    are probed with *restarts* round-robin better-response trajectories
+    from random starts, stacked into one lockstep run, whose revisits
+    certify cycles (a ``False`` is then only "none found").
     """
     if game.num_links**game.num_users <= MAX_CENSUS_STATES:
-        return bool(
-            batch_response_cycle_census(_batch_of_one(game), kind="better")[0]
-        )
-    rng = as_generator(seed)
-    for _ in range(restarts):
-        start = rng.integers(0, game.num_links, size=game.num_users)
-        result = better_response_dynamics(
-            game, start, schedule="round_robin", record_history=False
-        )
-        if result.cycled:
-            return True
-    return False
+        batch = GameBatch.from_games([game])
+        return bool(batch_response_cycle_census(batch, kind="better")[0])
+    if restarts <= 0:
+        return False
+    starts = as_generator(seed).integers(
+        0, game.num_links, size=(restarts, game.num_users)
+    )
+    result = batch_better_response_dynamics(
+        GameBatch.from_games([game] * restarts), starts, schedule="round_robin"
+    )
+    return bool(result.cycled.any())
 
 
 def weighted_potential_common_beliefs(
@@ -204,7 +197,8 @@ def weighted_potential_common_beliefs(
             "(all users sharing one effective-capacity row)"
         )
     sigma = as_assignment(assignment, game.num_users, game.num_links)
-    return float(batch_weighted_potential(_batch_of_one(game), sigma[None, :])[0])
+    batch = GameBatch.from_games([game])
+    return float(batch_weighted_potential(batch, sigma[None, :])[0])
 
 
 def ordinal_potential_symmetric(
@@ -238,9 +232,8 @@ def ordinal_potential_symmetric(
             "the ordinal potential requires symmetric users (equal weights)"
         )
     sigma = as_assignment(assignment, game.num_users, game.num_links)
-    return float(
-        batch_ordinal_potential_symmetric(_batch_of_one(game), sigma[None, :])[0]
-    )
+    batch = GameBatch.from_games([game])
+    return float(batch_ordinal_potential_symmetric(batch, sigma[None, :])[0])
 
 
 def verify_ordinal_potential_symmetric(
@@ -258,7 +251,7 @@ def verify_ordinal_potential_symmetric(
             "the ordinal potential requires symmetric users (equal weights)"
         )
     verdict = batch_verify_ordinal_potential_symmetric(
-        _batch_of_one(game),
+        GameBatch.from_games([game]),
         sigma[None, :],
         np.asarray([user], dtype=np.intp),
         np.asarray([new_link], dtype=np.intp),
@@ -283,7 +276,7 @@ def verify_weighted_potential(
         )
     sigma = as_assignment(assignment, game.num_users, game.num_links)
     verdict = batch_verify_weighted_potential(
-        _batch_of_one(game),
+        GameBatch.from_games([game]),
         sigma[None, :],
         np.asarray([user], dtype=np.intp),
         np.asarray([new_link], dtype=np.intp),

@@ -28,6 +28,7 @@ from typing import Literal
 
 import numpy as np
 
+from repro.batch.kernels import MAX_EXHAUSTIVE_PROFILES, enumerate_assignments
 from repro.errors import ModelError, SolverError
 from repro.model.game import UncertainRoutingGame
 from repro.model.latency import min_expected_latencies, pure_latencies
@@ -49,14 +50,12 @@ __all__ = [
     "opt1",
     "opt2",
     "coordination_ratios",
+    "MAX_EXHAUSTIVE_PROFILES",
     "enumerate_assignments",
     "all_pure_costs",
 ]
 
 Objective = Literal["sum", "max"]
-
-#: Refuse exhaustive enumeration beyond this many profiles (~1.6e7 doubles).
-MAX_EXHAUSTIVE_PROFILES = 2_000_000
 
 
 def individual_costs(game: UncertainRoutingGame, profile: MixedLike | AssignmentLike) -> np.ndarray:
@@ -98,26 +97,6 @@ def social_costs_of_pure(
 # ---------------------------------------------------------------------- #
 # exhaustive machinery
 # ---------------------------------------------------------------------- #
-
-
-def enumerate_assignments(num_users: int, num_links: int) -> np.ndarray:
-    """All ``m^n`` pure assignments as an ``(m^n, n)`` intp matrix.
-
-    Assignments are produced in mixed-radix order (user 0 is the most
-    significant digit), so row ``r`` encodes ``r`` written base ``m``.
-    """
-    total = num_links**num_users
-    if total > MAX_EXHAUSTIVE_PROFILES:
-        raise ModelError(
-            f"{num_links}^{num_users} = {total} assignments exceed the "
-            f"exhaustive limit of {MAX_EXHAUSTIVE_PROFILES}"
-        )
-    codes = np.arange(total, dtype=np.int64)
-    out = np.empty((total, num_users), dtype=np.intp)
-    for i in range(num_users - 1, -1, -1):
-        out[:, i] = codes % num_links
-        codes //= num_links
-    return out
 
 
 def all_pure_costs(

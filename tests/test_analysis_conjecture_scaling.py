@@ -52,9 +52,11 @@ class TestConjectureCampaign:
 
 def _reference_campaign_cells(grid, label):
     """The pre-batch per-instance loop, inlined as the parity oracle: one
-    game at a time through the single-game public APIs, exactly as the
-    campaign ran before the batched engine existed."""
-    from repro.equilibria.best_response import best_response_dynamics
+    game at a time, counting equilibria with the single-game enumerator
+    and running the per-game dynamics loop of ``tests/dynamics_oracle.py``,
+    exactly as the campaign ran before the batched engine existed."""
+    from dynamics_oracle import oracle_dynamics
+
     from repro.equilibria.enumeration import count_pure_nash
     from repro.generators.games import random_game
     from repro.util.rng import stable_seed
@@ -69,7 +71,7 @@ def _reference_campaign_cells(grid, label):
                 concentration=1.0, seed=seed,
             )
             counts.append(count_pure_nash(game))
-            result = best_response_dynamics(
+            result = oracle_dynamics(
                 game, schedule="round_robin", max_steps=BRD_MAX_STEPS, seed=seed
             )
             steps.append(result.steps)

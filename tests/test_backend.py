@@ -530,6 +530,6 @@ class TestNumbaDifferential:
         capacities = np.ones((b, n, m))
         traffic = np.zeros((b, m))
         declined = backend.dynamics_loop(
-            sigma, weights, capacities, traffic, True, False, 5, 1e-9, True
+            sigma, weights, capacities, traffic, True, False, 5, 1e-9
         )
         assert declined is None

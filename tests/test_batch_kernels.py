@@ -35,7 +35,9 @@ from repro.model.profiles import loads_of
 from repro.model.social import enumerate_assignments
 from repro.util.rng import stable_seed
 
-SHAPES = [(1, 2, 2), (1, 5, 3), (6, 2, 2), (8, 3, 4), (5, 10, 2), (4, 8, 3)]
+SHAPES = [
+    (1, 2, 2), (1, 5, 3), (6, 2, 2), (8, 3, 4), (5, 10, 2), (4, 8, 3), (3, 64, 7),
+]
 
 
 def make_batch(b, n, m, *, with_traffic=False, tag="kern"):
@@ -114,6 +116,11 @@ class TestBatchLatencyKernels:
         for i in range(b):
             ref = loads_of(sig[i], batch.weights[i], m, batch.initial_traffic[i])
             assert np.array_equal(got[i], ref)
+
+    def test_empty_stack_loads_are_float(self):
+        loads = batch_loads(np.zeros((0, 3), dtype=np.intp), np.ones((0, 3)), 2)
+        assert loads.shape == (0, 2)
+        assert loads.dtype == np.float64
 
     @pytest.mark.parametrize("b,n,m", SHAPES)
     def test_pure_latencies_match(self, b, n, m):

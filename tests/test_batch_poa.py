@@ -30,7 +30,6 @@ from repro.batch.poa import MAX_EXHAUSTIVE_PROFILES
 from repro.equilibria.enumeration import pure_nash_profiles
 from repro.equilibria.fully_mixed import fully_mixed_candidate
 from repro.errors import ModelError
-from repro.model.social import MAX_EXHAUSTIVE_PROFILES as SOCIAL_LIMIT
 from repro.model.social import all_pure_costs, opt1, opt2
 from repro.util.rng import stable_seed
 
@@ -95,9 +94,6 @@ class TestBatchOptima:
         assert 2000**2 > MAX_EXHAUSTIVE_PROFILES
         with pytest.raises(ModelError):
             batch_social_optima(batch)
-
-    def test_limit_constant_matches_model_layer(self):
-        assert MAX_EXHAUSTIVE_PROFILES == SOCIAL_LIMIT
 
 
 class TestBatchEquilibriumStack:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError
+from repro.errors import ModelError
 from repro.model.game import UncertainRoutingGame
 from repro.equilibria.best_response import (
     best_response_dynamics,
@@ -14,6 +14,19 @@ from repro.equilibria.best_response import (
 )
 from repro.equilibria.conditions import is_pure_nash
 from repro.generators.games import random_game, random_kp_game
+
+
+def replay(dynamics, game, start, **kwargs):
+    """The visited profiles, replayed through ``max_steps = 0..steps``.
+
+    ``max_steps=k`` stops the run after its ``k``-th move, so the final
+    profiles of the truncated runs are the trajectory, start first.
+    """
+    steps = dynamics(game, start, **kwargs).steps
+    return [
+        dynamics(game, start, max_steps=k, **kwargs).profile
+        for k in range(steps + 1)
+    ]
 
 
 class TestBestResponses:
@@ -40,7 +53,7 @@ class TestBestResponses:
 
 
 class TestBestResponseDynamics:
-    @pytest.mark.parametrize("schedule", ["round_robin", "max_regret", "random"])
+    @pytest.mark.parametrize("schedule", ["round_robin", "max_regret"])
     def test_converges_to_nash(self, schedule):
         game = random_game(5, 3, seed=8)
         result = best_response_dynamics(game, schedule=schedule, seed=0)
@@ -65,18 +78,11 @@ class TestBestResponseDynamics:
         assert result.steps == 0
         assert result.profile == eq
 
-    def test_history_recorded(self, three_user_game):
-        result = best_response_dynamics(
-            three_user_game, [0, 0, 0], record_history=True
-        )
-        assert len(result.history) == result.steps + 1
-        assert result.history[0].as_tuple() == (0, 0, 0)
-
     def test_history_moves_are_unilateral(self, three_user_game):
-        result = best_response_dynamics(
-            three_user_game, [0, 0, 0], record_history=True
-        )
-        for a, b in zip(result.history, result.history[1:]):
+        history = replay(best_response_dynamics, three_user_game, [0, 0, 0])
+        assert history[0].as_tuple() == (0, 0, 0)
+        assert len(history) >= 2
+        for a, b in zip(history, history[1:]):
             diff = np.sum(a.links != b.links)
             assert diff == 1
 
@@ -85,21 +91,10 @@ class TestBestResponseDynamics:
         result = best_response_dynamics(game, [0] * 6, max_steps=0)
         assert not result.converged
 
-    def test_budget_exhaustion_can_raise(self):
-        game = random_game(6, 3, seed=1)
-        # max_steps=0 cannot converge unless start is already a NE.
-        if not is_pure_nash(game, [0] * 6):
-            with pytest.raises(ConvergenceError):
-                best_response_dynamics(
-                    game, [0] * 6, max_steps=0, raise_on_budget=True
-                )
-
-    def test_deterministic_given_seed(self):
-        game = random_game(5, 3, seed=3)
-        a = best_response_dynamics(game, schedule="random", seed=11)
-        b = best_response_dynamics(game, schedule="random", seed=11)
-        assert a.profile == b.profile
-        assert a.steps == b.steps
+    def test_unknown_schedule_rejected(self):
+        game = random_game(4, 3, seed=2)
+        with pytest.raises(ModelError, match="deterministic"):
+            best_response_dynamics(game, schedule="Round_Robin")
 
     def test_many_random_instances_converge(self):
         """The E5 evidence in miniature: dynamics always found a NE."""
@@ -148,22 +143,27 @@ class TestBetterResponseDynamics:
             game,
             [0, 1],
             schedule="round_robin",
-            record_history=True,
             tol=-1.0,
             max_steps=1_000,
         )
         assert result.cycled
         assert not result.converged
-        assert len(result.cycle) >= 1
-        assert result.cycle[0] == result.history[-1]
+
+    def test_unknown_schedule_rejected(self):
+        """A typo must not silently run some other schedule and report
+        its revisits as cycles."""
+        game = UncertainRoutingGame.from_capacities(
+            [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]
+        )
+        with pytest.raises(ModelError, match="deterministic"):
+            better_response_dynamics(game, [0, 1], schedule="typo", tol=-1.0, seed=3)
 
     def test_moves_strictly_improve(self, three_user_game):
         from repro.model.latency import pure_latency_of_user
 
-        result = better_response_dynamics(
-            three_user_game, [0, 0, 0], record_history=True
-        )
-        for a, b in zip(result.history, result.history[1:]):
+        history = replay(better_response_dynamics, three_user_game, [0, 0, 0])
+        assert len(history) >= 2
+        for a, b in zip(history, history[1:]):
             mover = int(np.flatnonzero(a.links != b.links)[0])
             before = pure_latency_of_user(three_user_game, a, mover)
             after = pure_latency_of_user(three_user_game, b, mover)

@@ -25,6 +25,21 @@ class TestHasBetterResponseCycle:
         game = random_game(10, 4, seed=1)
         assert has_better_response_cycle(game, restarts=3, seed=0) is False
 
+    def test_no_restarts_finds_nothing(self):
+        game = random_game(10, 4, seed=1)
+        assert has_better_response_cycle(game, restarts=0, seed=0) is False
+        assert has_better_response_cycle(game, restarts=-2, seed=0) is False
+
+    def test_stacked_starts_match_successive_draws(self):
+        """The sampling branch draws every restart's start in one
+        ``(restarts, n)`` block; that block must equal the successive
+        size-``n`` draws a per-restart loop would make (odd ``n`` and
+        small ``m`` exercise the generator's buffered 32-bit draws)."""
+        block = np.random.default_rng(5).integers(0, 3, size=(6, 7))
+        rng = np.random.default_rng(5)
+        rows = [rng.integers(0, 3, size=7) for _ in range(6)]
+        assert np.array_equal(block, np.stack(rows))
+
 
 class TestFullyMixedEdgeCases:
     def test_profile_of_noninterior_candidate_rejected(self):
