@@ -36,16 +36,36 @@ def test_ordinal_potential_evaluation(benchmark):
 
 
 def test_e6_cycle_search(benchmark, report):
+    """The full E6 search: every (3, 3) move cycle of length <= 6
+    against 12 weight draws."""
     result = benchmark.pedantic(
         lambda: search_improvement_cycle_instance(
-            max_cycle_length=4, weight_draws=6, max_cycles=2_000, seed=0
+            max_cycle_length=6, weight_draws=12, seed=0
         ),
         rounds=1,
         iterations=1,
     )
-    assert not result.found  # length-4 cycles provably unrealisable
+    assert result.cycles_tested == 2889
+    assert not result.found
     report.append(
-        f"[E6] improvement-cycle search: {result.cycles_tested} shapes "
-        "tested, none realisable (length <= 4; see EXPERIMENTS.md for the "
-        "exhaustive length-6 run)"
+        f"[E6] improvement-cycle search: {result.cycles_tested} cycles of "
+        "length <= 6 tested at (n, m) = (3, 3), none realisable (full E6)"
+    )
+
+
+def test_four_user_cycle_search(benchmark, report):
+    """The first realisable (4, 3) cycle: 8 moves, at cycle 2,418."""
+    result = benchmark.pedantic(
+        lambda: search_improvement_cycle_instance(
+            4, 3, max_cycle_length=8, max_cycles=2418, seed=0
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    assert result.found
+    assert result.cycles_tested == 2418
+    report.append(
+        f"[E6] improvement-cycle search at (n, m) = (4, 3): an "
+        f"{len(result.cycle) - 1}-move improvement cycle realised and "
+        f"verified after {result.cycles_tested} cycles"
     )

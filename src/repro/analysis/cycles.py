@@ -15,18 +15,34 @@ improves iff
 
 Summing a user's constraints around each loop of its own moves makes the
 capacity terms telescope away, so the cycle is realisable by *some*
-capacity matrix iff every such loop has negative total log-load-ratio —
-checked exactly by :func:`realize_cycle`, which also reconstructs a
-witness capacity matrix by longest-path labelling when feasible.
+capacity matrix iff every such loop has negative total log-load-ratio.
+:func:`repro.batch.pure.batch_realisable_cycles` decides that for a
+block of walks against every weight draw in one call: it max-scatters
+the gaps into per-user max-plus matrices and reads the diagonals of
+their Floyd-Warshall closures. :func:`realize_cycle` is its ``B = 1``
+view, and reconstructs a witness capacity matrix when feasible. Each
+user's gaps are lifted by the largest margin ``0.05 * 2**-j`` that keeps
+that user's loops negative, and the longest-path labels of the lifted
+closure are the log capacities. (A fixed margin would reject every
+feasible walk with a ``k``-move loop whose total lies in
+``(-k * margin, 0)``.)
+:func:`search_improvement_cycle_instance` decides :data:`CYCLE_BLOCK`
+cycles per kernel call and labels and verifies only the feasible pairs.
 
-Two structural facts the library establishes with this machinery:
+Three structural facts the library establishes with this machinery:
 
 * for **equal weights** no improvement cycle exists at all (the ordinal
   potential of :func:`repro.equilibria.potential.ordinal_potential_symmetric`);
 * for (n=3, m=3) **every simple cycle of length <= 6 is unrealisable**
   regardless of the capacity matrix (checked against the per-user loop
   criterion over weight draws; see experiment E6) — Monien's cycle needs
-  longer loops, more users, or initial traffic.
+  longer loops, more users, or initial traffic;
+* for (n=4, m=3) **an 8-move improvement cycle exists**:
+  ``search_improvement_cycle_instance(4, 3, max_cycle_length=8)`` realises
+  cycle 2,418 of :func:`move_cycles` under its first weight draw
+  (w ~ 3.257, 1.495, 0.397, 0.279) and verifies it on the game's
+  better-response graph. User 2 never moves on it and acts as fixed
+  traffic on link 0, so Monien's observation holds already at (4, 3).
 """
 
 from __future__ import annotations
@@ -37,6 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.batch.pure import batch_cycle_gaps, batch_realisable_cycles, maxplus_closure
 from repro.model.game import UncertainRoutingGame
 from repro.equilibria.game_graph import better_response_graph, find_response_cycle
 from repro.util.rng import RandomState, as_generator
@@ -85,68 +102,48 @@ def realize_cycle(
     states: Sequence[tuple[int, ...]],
     weights: Sequence[float] | np.ndarray,
     num_links: int,
-    *,
-    margin: float = 0.05,
 ) -> np.ndarray | None:
     """Capacities making *states* a better-response cycle, or ``None``.
 
     *states* must be a closed walk (``states[0] == states[-1]``) whose
     consecutive entries differ in exactly one coordinate. The returned
     ``(n, m)`` matrix realises every move as a strict improvement; ``None``
-    means the cycle is unrealisable for these weights (the exact loop
-    criterion failed).
+    means the walk is malformed or unrealisable for these weights (the
+    exact loop criterion failed). The ``B = 1`` view of
+    :func:`~repro.batch.pure.batch_realisable_cycles`.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    n = w.size
-    if len(states) < 3 or states[0] != states[-1]:
+    walk = np.asarray(states, dtype=np.intp)
+    if walk.ndim != 2 or len(walk) < 3 or np.any(walk[0] != walk[-1]):
         return None
-    gaps: dict[int, list[tuple[int, int, float]]] = {i: [] for i in range(n)}
-    for s, t in zip(states, states[1:]):
-        diff = [k for k in range(n) if s[k] != t[k]]
-        if len(diff) != 1:
-            return None
-        user = diff[0]
-        a, b = s[user], t[user]
-        loads = np.bincount(s, weights=w, minlength=num_links)
-        gaps[user].append(
-            (a, b, float(np.log((loads[b] + w[user]) / loads[a])))
-        )
+    if np.any((walk[1:] != walk[:-1]).sum(axis=1) != 1):
+        return None
+    w = np.asarray(weights, dtype=np.float64)
+    if not batch_realisable_cycles(walk[None], w[None], num_links)[0, 0]:
+        return None
+    return _witness_capacities(walk, w, num_links)
 
-    caps = np.ones((n, num_links))
-    neg_inf = -np.inf
-    for i in range(n):
-        if not gaps[i]:
-            continue
-        # Dense max-plus adjacency: weight[a, b] = required log-capacity gap.
-        weight = np.full((num_links, num_links), neg_inf)
-        for a, b, c in gaps[i]:
-            weight[a, b] = max(weight[a, b], c)
-        # Exact criterion: every directed loop must have strictly negative
-        # total. Max-plus Floyd-Warshall finds the heaviest closed walk;
-        # any diagonal >= 0 certifies a non-negative loop.
-        dist = weight.copy()
-        for k in range(num_links):
-            dist = np.maximum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-        if np.any(np.diag(dist) >= -1e-12):
-            return None
-        # Longest-path labelling with a strict margin realises the strict
-        # inequalities; Bellman-Ford style relaxation terminates because
-        # all loops are negative.
-        x = np.zeros(num_links)
-        edges = [(a, b, c) for a, b, c in gaps[i]]
-        for _ in range(num_links + 2):
-            changed = False
-            for a, b, c in edges:
-                need = x[a] + c + margin
-                if x[b] < need:
-                    x[b] = need
-                    changed = True
-            if not changed:
-                break
-        else:  # pragma: no cover - negative loops guarantee termination
-            return None
-        caps[i] = np.exp(x)
-    return caps
+
+#: Candidate per-move labelling margins, largest first.
+_MARGINS = 0.05 * 0.5 ** np.arange(64)
+
+
+def _witness_capacities(
+    walk: np.ndarray, weights: np.ndarray, num_links: int
+) -> np.ndarray:
+    """Capacities realising a walk that passed the loop criterion.
+
+    Each user's gaps are lifted by the largest margin in
+    :data:`_MARGINS` that keeps all of its loops negative, so every move
+    clears its gap by that margin. The longest-path labels of the lifted
+    closure, from all-zero starts, are the log capacities; a user who
+    never moves keeps capacity 1.
+    """
+    gaps = batch_cycle_gaps(walk[None], weights[None], num_links)[0, 0]
+    lifted = maxplus_closure(gaps + _MARGINS[:, None, None, None])
+    negative = np.all(np.diagonal(lifted, axis1=-2, axis2=-1) < 0, axis=-1)
+    users = np.arange(gaps.shape[0])
+    dist = lifted[negative.argmax(axis=0), users]  # (n, m, m)
+    return np.exp(np.maximum(dist.max(axis=-2), 0.0))
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,12 @@ class CycleSearchResult:
     cycles_tested: int
     game: UncertainRoutingGame | None = None
     cycle: list[tuple[int, ...]] | None = None
+
+
+#: Move cycles decided per kernel call. Bounds the working set: deciding
+#: all 2,889 of E6's cycles in one call adds ~24 MB to a process's peak
+#: memory, a block of 128 about 1 MB.
+CYCLE_BLOCK = 128
 
 
 def search_improvement_cycle_instance(
@@ -173,24 +176,39 @@ def search_improvement_cycle_instance(
     Enumerates simple move cycles up to *max_cycle_length* states
     (:func:`move_cycles`) and tries to realise each with *weight_draws*
     sampled weight vectors (equal weights are skipped — provably
-    unrealisable). Returns the first realised instance, verified against
-    its actual better-response graph; ``cycles_tested`` counts the cycles
-    tried, at most *max_cycles*.
+    unrealisable). Returns the first realised instance, in (cycle, draw)
+    order, verified against its actual better-response graph;
+    ``cycles_tested`` counts the cycles tried, at most *max_cycles*.
+    Each block of :data:`CYCLE_BLOCK` cycles is decided against every
+    draw in one :func:`~repro.batch.pure.batch_realisable_cycles` call;
+    only the realisable pairs are labelled and verified.
     """
     rng = as_generator(seed)
-    draws = [rng.uniform(0.2, 5.0, size=num_users) for _ in range(weight_draws)]
-    cycles = move_cycles(num_users, num_links, max_cycle_length)
+    draws = np.array(
+        [rng.uniform(0.2, 5.0, size=num_users) for _ in range(weight_draws)]
+    ).reshape(weight_draws, num_users)
+    cycles = itertools.islice(
+        move_cycles(num_users, num_links, max_cycle_length), max_cycles
+    )
     tested = 0
-    for states in itertools.islice(cycles, max_cycles):
-        tested += 1
-        for w in draws:
-            caps = realize_cycle(states, w, num_links)
-            if caps is None:
-                continue
-            game = UncertainRoutingGame.from_capacities(w, caps)
+    while block := list(itertools.islice(cycles, CYCLE_BLOCK)):
+        # Pad every walk to the longest with its closing state: a step
+        # that changes nothing adds no constraint.
+        length = max(len(states) for states in block)
+        walks = np.array(
+            [states + states[-1:] * (length - len(states)) for states in block]
+        )
+        realisable = batch_realisable_cycles(walks, draws, num_links)
+        for c, d in zip(*np.nonzero(realisable)):
+            caps = _witness_capacities(walks[c], draws[d], num_links)
+            game = UncertainRoutingGame.from_capacities(draws[d], caps)
             witness = find_response_cycle(better_response_graph(game))
             if witness is not None:
                 return CycleSearchResult(
-                    found=True, cycles_tested=tested, game=game, cycle=witness
+                    found=True,
+                    cycles_tested=tested + int(c) + 1,
+                    game=game,
+                    cycle=witness,
                 )
+        tested += len(block)
     return CycleSearchResult(found=False, cycles_tested=tested)

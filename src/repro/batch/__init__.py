@@ -23,10 +23,11 @@ The subsystem behind the library's instance-parallel workloads:
   :mod:`repro.equilibria.fixpoint` is its ``B = 1`` view;
 * :mod:`repro.batch.pure`        — lockstep nashification, batched
   potential evaluators / four-cycle gaps, the PNE/response-cycle
-  census and the lockstep Section 3 solvers;
-  :mod:`repro.equilibria.nashify`, the evaluators in
-  :mod:`repro.equilibria.potential` and the census half of
-  :mod:`repro.analysis.cycles` are their ``B = 1`` views;
+  census, improvement-cycle realisability and the lockstep Section 3
+  solvers; :mod:`repro.equilibria.nashify`, the evaluators in
+  :mod:`repro.equilibria.potential`, the game graphs and
+  :func:`repro.analysis.cycles.realize_cycle` are their ``B = 1``
+  views;
 * :mod:`repro.batch.generator`   — one-pass vectorised instance drawing;
 * :mod:`repro.batch.backend`     — the fused-hook seam: the kernels
   above are NumPy code, and the ``numba`` backend may take over their
@@ -83,6 +84,7 @@ from repro.batch.pure import (
     batch_nashify,
     batch_nashify_common_beliefs,
     batch_ordinal_potential_symmetric,
+    batch_realisable_cycles,
     batch_response_cycle_census,
     batch_sampled_cycle_gaps,
     batch_verify_ordinal_potential_symmetric,
@@ -138,6 +140,7 @@ __all__ = [
     "batch_nashify",
     "batch_nashify_common_beliefs",
     "batch_ordinal_potential_symmetric",
+    "batch_realisable_cycles",
     "batch_response_cycle_census",
     "batch_sampled_cycle_gaps",
     "batch_verify_ordinal_potential_symmetric",

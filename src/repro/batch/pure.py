@@ -8,7 +8,7 @@ with per-game active masks, in the iterative-proportional-fitting style
 of stacked fixed-point solvers: one vectorised update per step, games
 leaving the active set as they individually converge.
 
-Four kernel families live here:
+Five kernel families live here:
 
 * **lockstep nashification** — :func:`batch_nashify_common_beliefs`
   (per-step argmax-congestion defector selection, the Feldmann et al.
@@ -26,6 +26,11 @@ Four kernel families live here:
   then one flattened Kahn peel, :func:`kahn_residue`); pure-NE
   existence counting is shared with
   :func:`repro.batch.kernels.batch_count_pure_nash`;
+* **improvement-cycle realisability** — :func:`batch_realisable_cycles`
+  decides ``C`` closed move walks against ``D`` weight vectors in one
+  call: :func:`batch_cycle_gaps` max-scatters every move's log-load
+  ratio into ``(D, C, n, m, m)`` per-user max-plus matrices, and
+  :func:`maxplus_closure` finds any loop that is not negative;
 * **lockstep Section 3 solvers** — :func:`batch_atwolinks`,
   :func:`batch_asymmetric`, :func:`batch_auniform`: the paper's three
   algorithms advancing a stack one round per step.
@@ -35,8 +40,9 @@ bit for bit under equal inputs — loads accumulate user by user
 (:func:`numpy.bincount` order), tie-breaks mirror the sequential code
 (first mover, first worst link, lowest link index), and tolerances are
 identical. ``equilibria/nashify.py``, the evaluators in
-``equilibria/potential.py`` and the game graphs of
-``equilibria/game_graph.py`` are the ``B = 1`` views of these kernels; the
+``equilibria/potential.py``, the game graphs of
+``equilibria/game_graph.py`` and ``realize_cycle`` in
+``analysis/cycles.py`` are the ``B = 1`` views of these kernels; the
 E1-E4/E6 campaign results are pinned against the frozen sequential
 baseline in ``tests/data/pure_seed_baseline.json``.
 """
@@ -68,6 +74,9 @@ __all__ = [
     "batch_response_edges",
     "kahn_residue",
     "batch_response_cycle_census",
+    "maxplus_closure",
+    "batch_cycle_gaps",
+    "batch_realisable_cycles",
     "batch_atwolinks",
     "batch_asymmetric",
     "batch_auniform",
@@ -730,6 +739,102 @@ def batch_response_cycle_census(
     )
     left = kahn_residue(src, dst, batch.batch_size * total)
     return left.reshape(batch.batch_size, total).any(axis=1)
+
+
+# ---------------------------------------------------------------------- #
+# improvement-cycle realisability
+# ---------------------------------------------------------------------- #
+
+
+def maxplus_closure(gaps: np.ndarray) -> np.ndarray:
+    """Max-plus Floyd-Warshall over the last two axes of *gaps*.
+
+    Entry ``[..., a, b]`` of the result is the heaviest total of a walk
+    from ``a`` to ``b`` (``-inf`` if there is none). It is exact when
+    every loop is negative; otherwise the diagonal is non-negative on
+    some loop, which is all a feasibility check reads.
+    """
+    dist = np.array(gaps, dtype=np.float64)
+    for k in range(dist.shape[-1]):
+        np.maximum(dist, dist[..., :, k : k + 1] + dist[..., k : k + 1, :], out=dist)
+    return dist
+
+
+def batch_cycle_gaps(
+    walks: np.ndarray, weights: np.ndarray, num_links: int
+) -> np.ndarray:
+    """Per-user max-plus gap matrices of closed move walks.
+
+    *walks* is ``(C, K + 1, n)`` link indices: each row a closed walk
+    whose consecutive states differ in at most one user. A step that
+    changes nothing is padding, so walks of different lengths share one
+    array. *weights* is ``(D, n)``. Returns ``(D, C, n, m, m)``: entry
+    ``[d, c, i, a, b]`` is the largest ``log((L_b + w_i) / L_a)`` over
+    the moves of user ``i`` from ``a`` to ``b`` in walk ``c`` under
+    weights ``d``, with ``L`` the loads before the move, or ``-inf``
+    where there is no such move. A move is a strict improvement iff the
+    user's log-capacity gap ``log C_b - log C_a`` exceeds its entry.
+    """
+    walks = np.asarray(walks, dtype=np.intp)
+    w = np.asarray(weights, dtype=np.float64)
+    if walks.ndim != 3 or w.ndim != 2 or walks.shape[2] != w.shape[1]:
+        raise ModelError(
+            f"walks (C, K + 1, n) and weights (D, n) disagree: "
+            f"{walks.shape} vs {w.shape}"
+        )
+    if np.any(walks < 0) or np.any(walks >= num_links):
+        raise ModelError(f"walk entries must lie in [0, {num_links})")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ModelError("weights must be finite and positive")
+    before, after = walks[:, :-1], walks[:, 1:]
+    changed = before != after
+    if np.any(changed.sum(axis=2) > 1) or np.any(walks[:, 0] != walks[:, -1]):
+        raise ModelError("each walk must be closed and move <= 1 user per step")
+
+    (d, n), (c, k), m = w.shape, changed.shape[:2], num_links
+    mover = changed.argmax(axis=2)  # (C, K); user 0 on padding steps
+    origin = np.take_along_axis(before, mover[..., None], axis=2)[..., 0]
+    target = np.take_along_axis(after, mover[..., None], axis=2)[..., 0]
+    # Origin and target loads summed user by user from 0.0: the order of
+    # the single-walk np.bincount, so every gap is bit-identical to it.
+    load_a = np.zeros((d, c, k))
+    load_b = np.zeros((d, c, k))
+    for i in range(n):
+        wi = w[:, i, None, None]
+        load_a += np.where(before[..., i] == origin, wi, 0.0)
+        load_b += np.where(before[..., i] == target, wi, 0.0)
+    gap = np.log((load_b + w[:, mover]) / load_a)
+    gap[:, ~changed.any(axis=2)] = -np.inf
+
+    # Max-scatter one step column at a time: within a column every walk
+    # writes its own cell, so no two writes collide.
+    mats = np.full((d, c, n, m, m), -np.inf)
+    rows = np.arange(c)
+    for step in range(k):
+        cell = (slice(None), rows, mover[:, step], origin[:, step], target[:, step])
+        mats[cell] = np.maximum(mats[cell], gap[:, :, step])
+    return mats
+
+
+#: A walk is realisable iff every loop total lies below ``-LOOP_TOL``.
+LOOP_TOL = 1e-12
+
+
+def batch_realisable_cycles(
+    walks: np.ndarray, weights: np.ndarray, num_links: int
+) -> np.ndarray:
+    """Whether some capacities make each walk a better-response cycle.
+
+    Returns ``(C, D)`` verdicts for the walks and weight vectors of
+    :func:`batch_cycle_gaps`. A user's log-capacity gaps telescope
+    around each loop of its own moves, so walk ``c`` is realisable under
+    weights ``d`` iff every such loop has a negative total: the
+    diagonal of each user's :func:`maxplus_closure` lies below
+    ``-LOOP_TOL``.
+    """
+    closure = maxplus_closure(batch_cycle_gaps(walks, weights, num_links))
+    loops = np.diagonal(closure, axis1=-2, axis2=-1)  # (D, C, n, m)
+    return (loops < -LOOP_TOL).all(axis=(2, 3)).T
 
 
 # ---------------------------------------------------------------------- #

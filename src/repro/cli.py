@@ -36,6 +36,7 @@ making the CLI usable as a reproduction gate in CI.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Sequence
@@ -56,6 +57,21 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
+    return value
+
+
+def _delay_ms(text: str) -> float:
+    value = float(text)
+    # A NaN fails both tests; an infinite window would never flush.
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -276,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_p.add_argument(
         "--port",
-        type=_non_negative_int,
+        type=_port,
         default=8571,
         help="TCP port (0 picks a free one)",
     )
@@ -288,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--max-delay-ms",
-        type=float,
+        type=_delay_ms,
         default=2.0,
         help="flush the pending window after this many milliseconds "
              "even if it is not full",
@@ -395,8 +411,15 @@ def _cmd_merge(store: str, shards: Sequence[str] | None, force: bool) -> int:
 
 
 def _cmd_digest(store: str) -> int:
+    from pathlib import Path
+
     from repro.runtime import ResultStore
 
+    # A missing path would digest as the empty store, so an equality
+    # check between two mistyped paths would pass.
+    if not Path(store).is_file():
+        print(f"digest: no store file at {store}", file=sys.stderr)
+        return 2
     print(ResultStore(store).canonical_digest())
     return 0
 
@@ -457,7 +480,11 @@ def _cmd_serve(
             cache_size=cache_size,
             fixpoint_max_rounds=fixpoint_max_rounds,
         )
-        await server.start()
+        try:
+            await server.start()
+        except OSError as exc:  # a bad host or a port in use
+            print(f"serve: cannot listen on {host}:{port}: {exc}", file=sys.stderr)
+            return 1
         # The readiness line supervisors (and the CI smoke job) wait on.
         print(
             f"serving equilibria on {server.host}:{server.port} "

@@ -181,9 +181,13 @@ def run_e6(
       necessarily uses unequal weights.
 
     The cycle search itself (``repro.analysis.cycles``) exhaustively
-    refutes realisable improvement cycles of length <= 6 for (n=3, m=3);
-    the outcome is reported as data, not a pass/fail criterion, because
-    the paper's cycle instance [19] is unpublished.
+    refutes realisable improvement cycles of length <= 6 for (n=3, m=3),
+    deciding 128 cycles against all 12 weight draws per call of the
+    batched max-plus kernel. The outcome is reported as data, not a
+    pass/fail criterion, because the paper's cycle instance [19] is
+    unpublished. At (n=4, m=3) the same search with length <= 8 realises
+    and verifies an 8-move improvement cycle at cycle 2,418 (see
+    ``repro.analysis.cycles``); E6 runs the (3, 3) search only.
     """
     gap_spec, kp_spec, sym_spec = e6_specs(quick=quick)
     options = dict(

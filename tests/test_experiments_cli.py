@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -236,3 +237,58 @@ class TestCli:
         assert store.read_bytes() == first
         out = capsys.readouterr().out
         assert out.count("PASS") >= 2
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_digest_refuses_a_path_that_is_no_store(self, kind, tmp_path, capsys):
+        # An empty-set digest for a mistyped path would let an equality
+        # gate between two mistyped paths pass.
+        path = tmp_path / "no" / "such.jsonl" if kind == "missing" else tmp_path
+        assert main(["digest", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"digest: no store file at {path}\n"
+
+
+class TestServeFlags:
+    """Bad ``serve`` flags get one line and a non-zero exit, no traceback."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--port", "99999"),
+            ("--max-delay-ms", "-1"),
+            # Never flushes a window that does not fill.
+            ("--max-delay-ms", "inf"),
+            ("--max-delay-ms", "nan"),
+        ],
+    )
+    def test_refused_by_the_parser(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_port_in_use(self, capsys):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"serve: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
+
+    def test_host_that_is_not_local(self, capsys):
+        # 192.0.2.1 (TEST-NET-1) is a numeric address no host owns, so
+        # the bind fails locally, without a name lookup.
+        with socket.socket() as probe:
+            try:
+                probe.bind(("192.0.2.1", 0))
+            except OSError:
+                pass
+            else:  # the server would start and never return
+                pytest.skip("this host binds non-local addresses")
+        assert main(["serve", "--host", "192.0.2.1", "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve: cannot listen on 192.0.2.1:0: ")
+        assert err.count("\n") == 1
