@@ -12,11 +12,19 @@ Measures the E13 solver load two ways:
   batch-mates — the tier-1 invariance property pins this), so the
   comparison isolates pure batching leverage, not algorithmic drift.
 
-The >= 5x gate runs at an E13-representative width. The >= 2x numba
-gate holds the fused ``fixpoint_loop`` hook to its reason for existing
-and skips visibly without the ``[jit]`` extra; both land in
+The >= 5x gate runs at an E13-representative width; it measured
+9.4-9.7x on a 2-vCPU Xeon (7.2-7.4x while finished games still rode
+along in the NumPy loop's working tensors). The >= 2x numba gate holds
+the fused ``fixpoint_loop`` hook to its reason for existing and skips
+visibly without the ``[jit]`` extra; both land in
 ``BENCH_trajectory.json`` so the solver's performance history is
 tracked per commit.
+
+Two more benches time the windows where finished games matter: a
+64-game uniform-beliefs window whose median game converges in 51
+rounds while one stalls at round 1,057, and E13's slowest chunk, the
+uniform ``(100, 10)`` pair (263 and 235 rounds). They assert outcomes
+and round counts, not time.
 """
 
 from __future__ import annotations
@@ -28,12 +36,15 @@ from _timing import _timed
 from repro.batch.backend import available_backends, use_backend
 from repro.batch.container import GameBatch
 from repro.batch.fixpoint import batch_fixpoint_mixed_nash
+from repro.experiments.fixpoint_tier import e13_specs
 from repro.util.rng import stable_seed
 
 LABEL = "bench-fixpoint"
 NUM_GAMES = 48
 NUM_USERS = 16
 NUM_LINKS = 4
+WINDOW_LABEL = "bench-fixpoint-straggler"
+WINDOW_GAMES = 64
 
 
 def _stack() -> GameBatch:
@@ -122,6 +133,41 @@ def test_batched_fixpoint_solve(benchmark):
     batch = _stack()
     result = benchmark(lambda: batched_solve(batch))
     assert bool(result.converged.all())
+
+
+def _window() -> GameBatch:
+    seeds = [
+        stable_seed(WINDOW_LABEL, "uniform", NUM_USERS, NUM_LINKS, rep)
+        for rep in range(WINDOW_GAMES)
+    ]
+    return GameBatch.from_seeds_uniform_beliefs(
+        seeds, NUM_USERS, NUM_LINKS, with_initial_traffic=True
+    )
+
+
+def test_fixpoint_window_with_straggler(benchmark):
+    """A 64-game uniform-beliefs window, the size of a full service
+    ``fixpoint`` batch: the median game converges in 51 rounds, one
+    game stalls at round 1,057. Finished games leave the working
+    tensors, so the tail costs what the straggler costs."""
+    batch = _window()
+    result = benchmark(lambda: batched_solve(batch))
+    assert int(np.median(result.rounds)) == 51
+    assert int(result.converged.sum()) == WINDOW_GAMES - 1
+    assert result.rounds[result.stalled].tolist() == [1057]
+
+
+def test_fixpoint_e13_uniform_widest_chunk(benchmark):
+    """E13's slowest chunk: the uniform-beliefs ``(100, 10)`` pair."""
+    _, uniform = e13_specs(quick=False)
+    chunks, _ = uniform.chunks()
+    (chunk,) = [c for c in chunks if (c.num_users, c.num_links) == (100, 10)]
+    batch = GameBatch.from_seeds_uniform_beliefs(
+        chunk.seeds(), 100, 10, with_initial_traffic=True
+    )
+    result = benchmark(lambda: batched_solve(batch))
+    assert bool(result.converged.all())
+    assert result.rounds.tolist() == [263, 235]
 
 
 @pytest.mark.parametrize(("n", "m"), [(32, 6), (64, 8)])

@@ -55,26 +55,54 @@ tensors — every profile in a :class:`BatchFixpointResult` is either
 certified within :data:`CERT_TOL` or explicitly flagged
 (``converged``/``certified`` False).
 
-Games converge individually: a converged game freezes (its rows stop
-updating, so convergence masks are monotone in the budget and a longer
-budget replays a shorter one's trajectory exactly). A game that shows
-no relative residual improvement for ``stall_rounds`` rounds, or that
-exhausts ``max_rounds``, is flagged non-converged — masked out, never
-fatal for the batch. The ``B = 1`` view
+Games converge individually: a converged game leaves the iteration
+(its rows are final, so convergence masks are monotone in the budget
+and a longer budget replays a shorter one's trajectory exactly). A game
+that shows no relative residual improvement for ``stall_rounds``
+rounds, or that exhausts ``max_rounds``, is flagged non-converged —
+never fatal for the batch. The ``B = 1`` view
 (:func:`repro.equilibria.fixpoint.fixpoint_mixed_nash`) turns the flag
 into a :class:`~repro.errors.ConvergenceError`.
+
+Input domain
+------------
+:func:`batch_fixpoint_mixed_nash` validates its whole input once,
+before any round runs: weights and capacities finite and ``> 0``,
+initial traffic finite and ``>= 0``, ``n, m >= 1``; ``tol`` and
+``certify_tol`` finite and ``>= 0``, ``stall_rtol`` finite in
+``[0, 1)``; ``beta_max``, ``max_rounds`` and ``stall_rounds``
+integers. A bad shape raises :class:`~repro.errors.DimensionError`, a
+bad value :class:`~repro.errors.ModelError`. On that domain every
+probability stays finite and ``>= 0``, which the index-order sums
+below rely on.
+
+NumPy round loop
+----------------
+The generic loop is the bit-parity reference, and it keeps only the
+games still running in its working tensors: when a game converges or
+stalls, its rows are written to the output and ``P``, ``w``, the
+capacities and the traffic shrink to the rest, so no update is masked
+and a straggler's tail costs what the straggler costs. The working
+tensors are user-major, ``(n, B', m)``, so each user's step reads and
+writes one contiguous ``(B', m)`` block. The two index-order sums are
+one call each: :func:`numpy.add.accumulate` is a sequential scan, and
+since every term is ``>= +0.0`` its last entry equals the sum started
+from ``0.0`` bit for bit — over users for the traffic rebuild, over
+links for each row's normaliser.
 
 Backend seam
 ------------
 The whole round loop is the ``fixpoint_loop`` fused hook
 (:data:`~repro.batch.backend.FUSED_HOOKS`), which the numba backend
 implements as a compiled ``prange``-per-game loop reproducing the
-generic trajectory state for state. The NumPy loop below remains the
-bit-parity reference.
+generic trajectory state for state; ``tests/fixpoint_oracle.py`` keeps
+the masked ``(B, n, m)`` loop the NumPy path replaced, and the two are
+held equal bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +149,10 @@ DEFAULT_STALL_ROUNDS = 1000
 #: Relative improvement that resets the stall window.
 STALL_RTOL = 1e-3
 
+#: The loop parameters of the ``fixpoint_loop`` hook: ``(tol, eta,
+#: log2_beta_max, max_rounds, stall_rounds, stall_rtol)``.
+_LoopArgs = tuple[float, float, int, int, int, float]
+
 
 @dataclass(frozen=True)
 class BatchFixpointResult:
@@ -162,7 +194,22 @@ def _validated(
     weights: np.ndarray,
     capacities: np.ndarray,
     initial_traffic: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    tol: float,
+    eta: float,
+    beta_max: int,
+    max_rounds: int,
+    stall_rounds: int,
+    stall_rtol: float,
+    certify_tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _LoopArgs]:
+    """The solver's whole input, checked once: ``(w, caps, t, args)``
+    with *args* the loop parameters of the ``fixpoint_loop`` hook.
+
+    A bad shape raises :class:`~repro.errors.DimensionError`, a bad
+    value :class:`~repro.errors.ModelError`; past this point every
+    game is in the domain the iteration is defined on.
+    """
     w = np.asarray(weights, dtype=np.float64)
     caps = np.asarray(capacities, dtype=np.float64)
     if caps.ndim != 3 or w.ndim != 2:
@@ -171,6 +218,10 @@ def _validated(
             f"capacities (B, n, m); got {w.shape} and {caps.shape}"
         )
     b, n, m = caps.shape
+    if n < 1 or m < 1:
+        raise DimensionError(
+            f"a game needs n >= 1 users and m >= 1 links, got ({n}, {m})"
+        )
     if w.shape != (b, n):
         raise DimensionError(
             f"capacities cover (B, n) = ({b}, {n}), weights are {w.shape}"
@@ -183,7 +234,39 @@ def _validated(
             raise DimensionError(
                 f"initial_traffic must be ({b}, {m}), got {t.shape}"
             )
-    return w, caps, t
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ModelError("weights must be finite and > 0")
+    if not np.all(np.isfinite(caps) & (caps > 0.0)):
+        raise ModelError("capacities must be finite and > 0")
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ModelError("initial_traffic must be finite and >= 0")
+    for name, count in (
+        ("beta_max", beta_max),
+        ("max_rounds", max_rounds),
+        ("stall_rounds", stall_rounds),
+    ):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ModelError(f"{name} must be an integer, got {count!r}")
+    if beta_max < 1 or beta_max & (beta_max - 1):
+        raise ModelError(f"beta_max must be a power of two, got {beta_max}")
+    if max_rounds < 0 or stall_rounds < 1:
+        raise ModelError("max_rounds must be >= 0 and stall_rounds >= 1")
+    if not 0.0 < eta <= 1.0:
+        raise ModelError(f"eta must lie in (0, 1], got {eta}")
+    for name, bound in (("tol", tol), ("certify_tol", certify_tol)):
+        if not (math.isfinite(bound) and bound >= 0.0):
+            raise ModelError(f"{name} must be finite and >= 0, got {bound}")
+    if not 0.0 <= stall_rtol < 1.0:
+        raise ModelError(f"stall_rtol must lie in [0, 1), got {stall_rtol}")
+    args = (
+        float(tol),
+        float(eta),
+        int(beta_max).bit_length() - 1,
+        int(max_rounds),
+        int(stall_rounds),
+        float(stall_rtol),
+    )
+    return w, caps, t, args
 
 
 def _generic_fixpoint_loop(
@@ -200,59 +283,88 @@ def _generic_fixpoint_loop(
     """The bit-parity reference round loop (see the hook contract on
     :class:`~repro.batch.backend.ArrayBackend`)."""
     b, n, m = caps.shape
-    p = np.full((b, n, m), 1.0 / m)
+    probabilities = np.full((b, n, m), 1.0 / m)
     rounds = np.zeros(b, dtype=np.int64)
     residuals = np.full(b, np.inf)
-    best = np.full(b, np.inf)
-    since = np.zeros(b, dtype=np.int64)
     converged = np.zeros(b, dtype=bool)
     stalled = np.zeros(b, dtype=bool)
-    active = np.ones(b, dtype=bool)
+    if not b:
+        return probabilities, rounds, residuals, converged, stalled
+    # Working state of the live games only, user-major: ``p[u]`` is
+    # user u's ``(B', m)`` block across the live games. Ufunc outputs
+    # are passed positionally, which NumPy parses faster than ``out=``;
+    # scalars are 0-d arrays for the same reason.
+    live = np.arange(b)
+    p = np.full((n, b, m), 1.0 / m)
+    wu = np.repeat(w.T[:, :, None], m, axis=2)
+    c = np.ascontiguousarray(caps.transpose(1, 0, 2))
+    best = np.full(b, np.inf)
+    since = np.zeros(b, dtype=np.int64)
+    damping = np.array(eta)
     log2beta = 0
     for k in range(max_rounds + 1):
         # Rebuild link traffic from scratch, users in index order (the
-        # bit-parity accumulation contract), and check the residual.
-        w_link = np.zeros((b, m))
-        for i in range(n):
-            w_link = w_link + p[:, i, :] * w[:, i, None]
-        lat = ((1.0 - p) * w[:, :, None] + (t + w_link)[:, None, :]) / caps
-        mins = lat.min(axis=-1)
-        scale = np.maximum(mins, 1.0)
-        excess = (lat - mins[..., None]) / scale[..., None]
-        r = np.where(p > SUPPORT_ATOL, excess, 0.0).max(axis=(-2, -1))
-        residuals = np.where(active, r, residuals)
-        newly = active & (r <= tol)
-        converged |= newly
-        active &= ~newly
-        improved = active & (r < best * (1.0 - stall_rtol))
+        # bit-parity accumulation contract: a sequential scan, and every
+        # term is >= +0.0, so it equals the sum started from 0.0), and
+        # check the residual.
+        w_link = np.add.accumulate(p * wu, axis=0)[-1]
+        base = (1.0 - p) * wu
+        lat = (base + (t + w_link)) / c
+        mins = np.minimum.reduce(lat, axis=-1)[..., None]
+        excess = (lat - mins) / np.maximum(mins, 1.0)
+        r = np.maximum.reduce(np.where(p > SUPPORT_ATOL, excess, 0.0), axis=(0, 2))
+        done = r <= tol
+        improved = r < best * (1.0 - stall_rtol)
         best = np.where(improved, r, best)
-        since = np.where(active, np.where(improved, 0, since + 1), since)
-        newly_stalled = active & (since >= stall_rounds)
-        stalled |= newly_stalled
-        active &= ~newly_stalled
-        if k == max_rounds or not active.any():
-            break
+        since = np.where(improved, 0, since + 1)
+        stall = ~done & (since >= stall_rounds)
+        stop = done | stall
+        if k == max_rounds:
+            stop[:] = True
+        if stop.any():
+            # Finished games leave: write their rows out and shrink the
+            # working tensors to the games still running.
+            out = live[stop]
+            probabilities[out] = p[:, stop].transpose(1, 0, 2)
+            residuals[out] = r[stop]
+            rounds[out] = k
+            converged[out] = done[stop]
+            stalled[out] = stall[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            live, best, since, t = live[keep], best[keep], since[keep], t[keep]
+            p, base, wu, c = p[:, keep], base[:, keep], wu[:, keep], c[:, keep]
+            w_link = w_link[keep]
         # One round: every user in index order, each seeing the link
         # traffic already updated by earlier movers (Gauss-Seidel).
-        for u in range(n):
-            row = p[:, u, :]
-            lat_u = ((1.0 - row) * w[:, u, None] + (t + w_link)) / caps[:, u, :]
-            q = lat_u.min(axis=-1)[:, None] / lat_u
-            qb = q
+        # ``nxt`` starts as the damped old rows and receives the new
+        # ones; ``base`` holds each user's ``(1 - row) w_u``, unchanged
+        # until the user moves. ``q`` carries the step's temporaries.
+        nxt = (1.0 - eta) * p
+        tw, lat_u, q, acc = (np.empty_like(w_link) for _ in range(4))
+        row_min = np.empty((len(live), 1))
+        row_sum = acc[:, -1:]
+        for row, base_u, c_u, w_u, new in zip(p, base, c, wu, nxt):
+            np.add(t, w_link, tw)
+            np.add(base_u, tw, lat_u)
+            np.divide(lat_u, c_u, lat_u)
+            np.minimum.reduce(lat_u, 1, None, row_min, keepdims=True)
+            np.divide(row_min, lat_u, q)
             for _ in range(log2beta):
-                qb = qb * qb
-            g = row * qb
-            s = g[:, 0]
-            for link in range(1, m):
-                s = s + g[:, link]
-            updated = (1.0 - eta) * row + eta * (g / s[:, None])
-            updated = np.where(active[:, None], updated, row)
-            w_link = w_link + (updated - row) * w[:, u, None]
-            p[:, u, :] = updated
-        rounds = np.where(active, rounds + 1, rounds)
+                np.multiply(q, q, q)
+            np.multiply(row, q, q)
+            np.add.accumulate(q, 1, None, acc)
+            np.divide(q, row_sum, q)
+            np.multiply(damping, q, q)
+            np.add(new, q, new)
+            np.subtract(new, row, q)
+            np.multiply(q, w_u, q)
+            np.add(w_link, q, w_link)
+        p = nxt
         if log2beta < log2_beta_max:
             log2beta += 1
-    return p, rounds, residuals, converged, stalled
+    return probabilities, rounds, residuals, converged, stalled
 
 
 def batch_fixpoint_mixed_nash(
@@ -282,23 +394,22 @@ def batch_fixpoint_mixed_nash(
     NumPy reference and the numba fused hook bit for bit.
 
     *beta_max* must be a power of two (the anneal doubles up to it and
-    the exponentiation is by repeated squaring).
+    the exponentiation is by repeated squaring). Input outside the
+    solver's domain (module notes) raises
+    :class:`~repro.errors.DimensionError` for a bad shape and
+    :class:`~repro.errors.ModelError` for a bad value.
     """
-    w, caps, t = _validated(weights, capacities, initial_traffic)
-    if beta_max < 1 or beta_max & (beta_max - 1):
-        raise ModelError(f"beta_max must be a power of two, got {beta_max}")
-    if not 0.0 < eta <= 1.0:
-        raise ModelError(f"eta must lie in (0, 1], got {eta}")
-    if max_rounds < 0 or stall_rounds < 1:
-        raise ModelError("max_rounds must be >= 0 and stall_rounds >= 1")
-    log2_beta_max = int(beta_max).bit_length() - 1
-    args = (
-        float(tol),
-        float(eta),
-        log2_beta_max,
-        int(max_rounds),
-        int(stall_rounds),
-        float(stall_rtol),
+    w, caps, t, args = _validated(
+        weights,
+        capacities,
+        initial_traffic,
+        tol=tol,
+        eta=eta,
+        beta_max=beta_max,
+        max_rounds=max_rounds,
+        stall_rounds=stall_rounds,
+        stall_rtol=stall_rtol,
+        certify_tol=certify_tol,
     )
     hook = get_backend().fixpoint_loop
     fused = None

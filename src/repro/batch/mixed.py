@@ -30,11 +30,12 @@ the E7-E11 campaigns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DimensionError
+from repro.errors import DimensionError, ModelError
 
 __all__ = [
     "BatchFullyMixedResult",
@@ -49,6 +50,10 @@ __all__ = [
 #: Probability threshold below which a link is considered out of support
 #: (shared with the single-game Nash conditions).
 SUPPORT_ATOL = 1e-12
+
+#: How far a row sum may sit from 1 in a profile that
+#: :func:`batch_is_mixed_nash` accepts as a distribution.
+_ROW_SUM_ATOL = 1e-9
 
 
 def _as_mixed_arrays(
@@ -208,16 +213,23 @@ def batch_is_mixed_nash(
 ) -> np.ndarray:
     """Mixed-Nash verdict per batch element: boolean array of shape ``(...)``.
 
-    A profile is Nash iff every user's supported links (probability
-    above :data:`SUPPORT_ATOL`) attain the user's minimum expected
-    latency up to relative tolerance *tol*.
+    A profile is Nash iff it is a distribution — every entry finite and
+    ``>= 0``, every row summing to 1 within 1e-9 — and every user's
+    supported links (probability above :data:`SUPPORT_ATOL`) attain the
+    user's minimum expected latency up to relative tolerance *tol*. A
+    non-finite or negative *tol* raises :class:`~repro.errors.ModelError`.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ModelError(f"tol must be finite and >= 0, got {tol}")
     p, w, caps = _as_mixed_arrays(probs, weights, capacities)
     lat = batch_mixed_latency_matrix(p, w, caps, initial_traffic)
     minima = lat.min(axis=-1)
     scale = np.maximum(minima, 1.0)
     bad = (p > SUPPORT_ATOL) & (lat > (minima + tol * scale)[..., None])
-    return ~bad.any(axis=(-2, -1))
+    rows_ok = np.abs(p.sum(axis=-1) - 1.0) <= _ROW_SUM_ATOL
+    entries_ok = np.isfinite(p) & (p >= 0.0)
+    distribution = rows_ok.all(axis=-1) & entries_ok.all(axis=(-2, -1))
+    return distribution & ~bad.any(axis=(-2, -1))
 
 
 def normalize_rows(probs: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from repro.batch import (
 )
 from repro.equilibria.conditions import is_mixed_nash
 from repro.equilibria.fully_mixed import fully_mixed_candidate
-from repro.errors import DimensionError
+from repro.errors import DimensionError, ModelError
 from repro.generators.games import random_uniform_beliefs_game
 from repro.model.latency import min_expected_latencies, mixed_latency_matrix
 from repro.model.profiles import MixedProfile
@@ -188,6 +188,52 @@ class TestBatchIsMixedNash:
             tol=1e-7,
         )
         assert verdict.all()
+
+
+class TestBatchIsMixedNashDomain:
+    """Only a distribution can be Nash, and only at a real tolerance.
+
+    One user of weight 2 on two unit links sees latency 2 on both links
+    whatever its row holds, so the latency test alone accepts any
+    ``(1, 2)`` array; the distribution check is what refuses these.
+    """
+
+    W = np.array([2.0])
+    CAPS = np.ones((1, 2))
+
+    def verdict(self, row):
+        return bool(batch_is_mixed_nash([row], self.W, self.CAPS))
+
+    def test_distributions_are_accepted(self):
+        assert self.verdict([0.5, 0.5])
+        assert self.verdict([1.0, 0.0])
+        assert self.verdict([0.5 + 5e-10, 0.5])
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, np.nan], [0.0, 0.0], [1.5, -0.5], [0.5, 0.25], [0.5 + 2e-9, 0.5]],
+        ids=["all-nan", "all-zero", "negative", "sum-half-off", "sum-2e-9-off"],
+    )
+    def test_non_distribution_is_not_nash(self, row):
+        assert not self.verdict(row)
+
+    def test_infinite_entry_is_not_nash(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in the latency
+            assert not self.verdict([np.inf, 0.0])
+
+    def test_verdicts_stay_per_game(self):
+        probs = np.full((3, 1, 2), 0.5)
+        probs[1] = 0.0
+        weights, caps = np.tile(self.W, (3, 1)), np.tile(self.CAPS, (3, 1, 1))
+        got = batch_is_mixed_nash(probs, weights, caps)
+        assert got.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tolerance_is_refused(self, tol):
+        batch = make_batch(1, 3, 3)
+        uniform = np.full((1, 3, 3), 1.0 / 3.0)
+        with pytest.raises(ModelError, match="tol"):
+            batch_is_mixed_nash(uniform, batch.weights, batch.capacities, tol=tol)
 
 
 class TestFromSeedsUniformBeliefs:
