@@ -17,17 +17,31 @@ workload being timed. The >= 3x gate is the tentpole's acceptance
 criterion at the 64-way concurrent load; sustained throughput and
 per-request latency percentiles ride along in the report line and the
 ``BENCH_trajectory.json`` artifact.
+
+``test_request_front_end`` times what every request pays before the
+batcher sees it, decoding its line and
+:meth:`EquilibriumRequest.from_payload`, against the NumPy parser
+``tests/request_oracle.py`` keeps (decoding with ``json.loads``). It
+reports microseconds per request and asserts only that the digests
+agree.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import sys
+from pathlib import Path
 
 from _timing import _timed
 
 from repro.batch.container import GameBatch
+from repro.runtime.store import canonical_loads
 from repro.service import DynamicBatcher, EquilibriumRequest, solve_requests
 from repro.util.rng import stable_seed
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from request_oracle import OracleRequest  # noqa: E402
 
 LABEL = "bench-service"
 SHAPES = [(3, 3), (4, 3), (3, 4), (2, 4)]
@@ -130,3 +144,44 @@ def test_sequential_burst(benchmark):
     requests = _requests(32)
     results = benchmark(lambda: sequential_pass(requests))
     assert len(results) == 32
+
+
+def _request_lines(count: int = 256) -> list[bytes]:
+    """*count* distinct ``solve`` lines cycling through the shapes, in
+    the ``capacities`` spelling perfbench's serve workloads send."""
+    lines = []
+    for index in range(count):
+        n, m = SHAPES[index % len(SHAPES)]
+        batch = GameBatch.from_seeds([stable_seed(LABEL, "line", n, m, index)], n, m)
+        message = {
+            "op": "solve",
+            "id": index,
+            "weights": batch.weights[0].tolist(),
+            "capacities": batch.capacities[0].tolist(),
+        }
+        lines.append(json.dumps(message).encode("utf-8"))
+    return lines
+
+
+def test_request_front_end(report):
+    """Decode + ``from_payload`` per request line; no timing gate."""
+    lines = _request_lines()
+
+    def front_end(parse, decode):
+        return [parse(decode(line.decode("utf-8"))) for line in lines]
+
+    requests = front_end(EquilibriumRequest.from_payload, canonical_loads)
+    expected = front_end(OracleRequest.from_payload, json.loads)
+    assert [r.digest for r in requests] == [r.digest for r in expected]
+
+    def per_request_us(parse, decode):
+        best = min(_timed(lambda: front_end(parse, decode)) for _ in range(5))
+        return best / len(lines) * 1e6
+
+    new = per_request_us(EquilibriumRequest.from_payload, canonical_loads)
+    old = per_request_us(OracleRequest.from_payload, json.loads)
+    report.append(
+        f"[service] request front end over shapes {SHAPES}: decode + "
+        f"from_payload {new:.1f} us/request (NumPy reference parser "
+        f"{old:.1f} us)"
+    )

@@ -114,10 +114,35 @@ def _decode_hook(obj: dict[str, Any]) -> Any:
     return obj
 
 
+#: The keyword sets the package passes :func:`canonical_dumps`.
+_KEYWORD_SETS: tuple[dict[str, Any], ...] = (
+    {},
+    {"sort_keys": True},
+    {"sort_keys": True, "separators": (",", ":")},
+)
+#: One encoder per keyword set, built once. ``json.dumps(obj,
+#: allow_nan=False, **kwargs)`` builds a ``JSONEncoder`` with exactly
+#: these arguments on every call, so the text is the same; other keyword
+#: sets still go through ``json.dumps``.
+_ENCODERS = tuple(
+    (kwargs, json.JSONEncoder(allow_nan=False, **kwargs)) for kwargs in _KEYWORD_SETS
+)
+#: The decoder ``json.loads(text, object_hook=_decode_hook)`` builds.
+_DECODER = json.JSONDecoder(object_hook=_decode_hook)
+
+
+def _dumps(obj: Any, kwargs: dict[str, Any]) -> str:
+    """``json.dumps(obj, allow_nan=False, **kwargs)``."""
+    for known, encoder in _ENCODERS:
+        if kwargs == known:
+            return encoder.encode(obj)
+    return json.dumps(obj, allow_nan=False, **kwargs)
+
+
 def canonical_dumps(obj: Any, **kwargs: Any) -> str:
     """Serialise with the sentinel encoding (strict about raw inf/nan).
 
-    A single ``json.dumps`` pass answers the common case. The recursive
+    A single strict encoder pass answers the common case. The recursive
     :func:`_encode_nonfinite` walk runs only when that pass refuses *obj*
     (a non-finite float, say) or its text holds the reserved key, so
     every input encodes, or fails, exactly as it does through the walk.
@@ -126,17 +151,24 @@ def canonical_dumps(obj: Any, **kwargs: Any) -> str:
     encoder now encodes instead of raising :class:`RecursionError`.
     """
     try:
-        text = json.dumps(obj, allow_nan=False, **kwargs)
+        text = _dumps(obj, kwargs)
     except (TypeError, ValueError):
         pass
     else:
         if NONFINITE_KEY not in text:
             return text
-    return json.dumps(_encode_nonfinite(obj), allow_nan=False, **kwargs)
+    return _dumps(_encode_nonfinite(obj), kwargs)
 
 
 def canonical_loads(text: str) -> Any:
-    """Deserialise, turning sentinel objects back into floats."""
+    """Deserialise, turning sentinel objects back into floats.
+
+    ``json.loads`` refuses a leading U+FEFF with its own message before
+    it decodes, and it also reads bytes; both cases still go through it,
+    so only a plain ``str`` takes the prebuilt decoder.
+    """
+    if type(text) is str and not text.startswith("\ufeff"):
+        return _DECODER.decode(text)
     return json.loads(text, object_hook=_decode_hook)
 
 

@@ -37,6 +37,23 @@ stalled / certified / rounds / residual) instead of the census; the
 profile is returned only when the iteration converged, so every
 answer is either oracle-certified or explicitly flagged.
 
+Validation: :meth:`EquilibriumRequest.from_payload` checks a decoded
+request once, in plain Python, and nothing downstream checks it again
+but :meth:`GameBatch.from_requests`' one stacked pass per window. A
+numeric field is a list (``capacities``, ``states`` and ``beliefs``: a
+list of equal-length lists) of elements ``float()`` reads — numbers,
+bools, numeric strings, as ``np.asarray(..., dtype=float64)`` reads
+them; ``None`` and integers past float range are refused — and every
+element must be finite. Then ``weights`` must match the capacity rows
+and ``initial_traffic`` the links, ``n, m >= 2``, weights and
+capacities must be positive, traffic non-negative, and a ``solve``
+query's ``m ** n`` at most :data:`MAX_SERVICE_PROFILES`. The request's
+read-only arrays are built once from the validated floats, and the
+digest reads them. The ``states`` + ``beliefs`` reduction is the one
+step left to NumPy: its row sum is pairwise past 8 states and its
+product runs through BLAS, so a Python loop would change the
+capacities' bits.
+
 Wire format: requests, responses and the content digests the cache is
 keyed on all use the canonical JSON encoding of
 :mod:`repro.runtime.store` (``canonical_dumps`` — ``repr``-shortest
@@ -52,7 +69,9 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from itertools import chain
+from math import isfinite
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,6 +116,24 @@ class RequestError(ValueError):
     """A malformed or out-of-contract query payload."""
 
 
+#: The capacity spellings, in the order :meth:`EquilibriumRequest.from_payload`
+#: looks for them.
+_SPELLINGS = ("capacities", "link_capacities", "states")
+#: How a shape refusal names each spelling's users axis (the rows
+#: ``weights`` must match) and links axis (the length ``initial_traffic``
+#: must have). ``link_capacities`` gets one row per weight, so its users
+#: axis cannot disagree.
+_USERS_AXIS = {
+    "capacities": "'capacities' has {} rows",
+    "states": "'beliefs' has {} rows",
+}
+_LINKS_AXIS = {
+    "capacities": "'capacities' has {} columns",
+    "link_capacities": "'link_capacities' has length {}",
+    "states": "'states' has {} columns",
+}
+
+
 def game_digest(
     weights: np.ndarray,
     capacities: np.ndarray,
@@ -124,25 +161,91 @@ def game_digest(
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def _as_array(
-    payload: Mapping[str, Any], key: str, ndim: int
-) -> np.ndarray:
-    try:
-        arr = np.asarray(payload[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"{key!r} is not numeric: {exc}") from exc
-    if arr.ndim != ndim:
+def _is_sequence(value: Any) -> bool:
+    """Whether NumPy would nest into *value* when building an array."""
+    return isinstance(value, (list, tuple)) or (
+        isinstance(value, np.ndarray) and value.ndim > 0
+    )
+
+
+def _walk(value: Any, key: str, ndim: int) -> tuple[list, list]:
+    """Field *key* as ``ndim``-deep nested lists of floats, and their
+    elements in order, for any nesting of lists, tuples and arrays.
+
+    Refuses *value* in the order ``np.asarray(value, dtype=float64)``
+    did: ragged nesting, then the first element ``float()`` refuses,
+    then the wrong depth.
+    """
+    shape: list[int] = []
+    level = [value]
+    while level and all(map(_is_sequence, level)):
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            break
+        shape.append(lengths.pop())
+        level = [item for sequence in level for item in sequence]
+    if any(map(_is_sequence, level)):
         raise RequestError(
-            f"{key!r} must be {ndim}-dimensional, got shape {arr.shape}"
+            f"{key!r} is ragged: its nested lists differ in length or depth"
         )
-    if not np.all(np.isfinite(arr)):
+    try:
+        flat = [float(item) for item in level]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RequestError(f"{key!r} is not numeric: {exc}") from exc
+    if len(shape) != ndim:
+        raise RequestError(
+            f"{key!r} must be {ndim}-dimensional, got shape {tuple(shape)}"
+        )
+    if ndim == 1:
+        return flat, flat
+    rows, width = shape
+    return [flat[i * width : (i + 1) * width] for i in range(rows)], flat
+
+
+def _field(value: Any, key: str, ndim: int) -> list:
+    """Field *key* as ``ndim``-deep nested lists of finite floats.
+
+    ``float()`` reads each element, so ints, bools and numeric strings
+    count as numbers, as they do for ``np.asarray(value,
+    dtype=float64)``; ``None`` does not. A plain list of the right
+    depth, which is what a well-formed request decodes to, is read in
+    one pass; anything else goes through :func:`_walk`.
+    """
+    try:
+        if type(value) is not list:
+            raise TypeError
+        if ndim == 1:
+            numbers = list(map(float, value))
+            flat: Iterable[float] = numbers
+        else:
+            numbers = []
+            for row in value:
+                if type(row) is not list:
+                    raise TypeError
+                numbers.append(list(map(float, row)))
+            if len(set(map(len, numbers))) != 1:
+                raise TypeError
+            flat = chain.from_iterable(numbers)
+    except (TypeError, ValueError, OverflowError):
+        numbers, flat = _walk(value, key, ndim)
+    if not all(map(isfinite, flat)):
         raise RequestError(f"{key!r} must be finite")
-    return arr
+    return numbers
+
+
+def _frozen(values: list) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
 class EquilibriumRequest:
-    """One validated game query, addressed by its reduced-form digest."""
+    """One validated game query, addressed by its reduced-form digest.
+
+    The arrays are read-only float64, so they cannot drift from the
+    digest.
+    """
 
     weights: np.ndarray
     capacities: np.ndarray
@@ -158,41 +261,23 @@ class EquilibriumRequest:
         *,
         check_width: bool = True,
     ) -> "EquilibriumRequest":
-        """Validate a reduced form (via the ``GameBatch`` invariants).
+        """Validate a reduced form given as arrays.
 
-        ``check_width=False`` skips the ``MAX_SERVICE_PROFILES`` census
-        guard — the fixpoint op's spelling, whose solver never
-        enumerates pure profiles.
+        The arrays go through :meth:`from_payload` as its ``capacities``
+        spelling, via ``tolist()``, so both constructors share one
+        validator. ``check_width=False`` skips the
+        ``MAX_SERVICE_PROFILES`` census guard — the fixpoint op's
+        spelling, whose solver never enumerates pure profiles.
         """
-        w = np.asarray(weights, dtype=np.float64)
-        caps = np.asarray(capacities, dtype=np.float64)
-        if caps.ndim != 2:
-            raise RequestError(
-                f"capacities must be an (n, m) matrix, got shape {caps.shape}"
-            )
-        t = (
-            np.zeros(caps.shape[1])
-            if initial_traffic is None
-            else np.asarray(initial_traffic, dtype=np.float64)
-        )
-        try:
-            batch = GameBatch(w[None], caps[None], initial_traffic=t[None])
-        except (IndexError, ValueError) as exc:  # Model/DimensionError too
-            raise RequestError(str(exc)) from exc
-        n, m = batch.num_users, batch.num_links
-        if check_width and m**n > MAX_SERVICE_PROFILES:
-            raise RequestError(
-                f"game has {m}^{n} = {m**n} pure profiles; the service "
-                f"serves exhaustively-checkable games "
-                f"(<= {MAX_SERVICE_PROFILES})"
-            )
-        w, caps, t = batch.weights[0], batch.capacities[0], batch.initial_traffic[0]
-        return cls(
-            weights=w,
-            capacities=caps,
-            initial_traffic=t,
-            digest=game_digest(w, caps, t),
-        )
+        payload = {
+            "weights": np.asarray(weights, dtype=np.float64).tolist(),
+            "capacities": np.asarray(capacities, dtype=np.float64).tolist(),
+        }
+        if initial_traffic is not None:
+            payload["initial_traffic"] = np.asarray(
+                initial_traffic, dtype=np.float64
+            ).tolist()
+        return cls.from_payload(payload, check_width=check_width)
 
     @classmethod
     def from_payload(
@@ -215,38 +300,43 @@ class EquilibriumRequest:
 
         ``weights`` ``(n,)`` is always required; ``initial_traffic``
         ``(m,)`` is optional and defaults to zeros.
+
+        The checks run in this order, the first failure refusing the
+        query: the fields one by one (``weights``, the spelling's own,
+        ``initial_traffic``), then ``weights`` against the capacity
+        rows, ``n, m >= 2``, positive weights and capacities,
+        ``initial_traffic``'s length and sign, and the width guard.
         """
-        if not isinstance(payload, Mapping):
+        if not isinstance(payload, (dict, Mapping)):  # dict first: cheaper
             raise RequestError("query must be a JSON object")
         if "weights" not in payload:
             raise RequestError("query needs 'weights'")
-        weights = _as_array(payload, "weights", 1)
-        spellings = [
-            key
-            for key in ("capacities", "link_capacities", "states")
-            if key in payload
-        ]
+        weights = _field(payload["weights"], "weights", 1)
+        spellings = [key for key in _SPELLINGS if key in payload]
         if len(spellings) != 1:
             raise RequestError(
                 "query needs exactly one of 'capacities', "
                 "'link_capacities', or 'states' + 'beliefs'"
             )
-        if "capacities" in payload:
-            capacities = _as_array(payload, "capacities", 2)
-        elif "link_capacities" in payload:
-            links = _as_array(payload, "link_capacities", 1)
-            if np.any(links <= 0.0):
+        spelling = spellings[0]
+        if spelling == "capacities":
+            capacities = _field(payload["capacities"], "capacities", 2)
+            num_links = len(capacities[0])
+        elif spelling == "link_capacities":
+            links = _field(payload["link_capacities"], "link_capacities", 1)
+            if any(c <= 0.0 for c in links):
                 raise RequestError("'link_capacities' must be positive")
             # The KP reduction routes through the point-mass belief's
             # harmonic mean: 1 / (1 / c) is not a float identity, and
             # digest-level parity with UncertainRoutingGame.kp needs it.
-            reduced = 1.0 / (1.0 / links)
-            capacities = np.repeat(reduced[None, :], weights.size, axis=0)
+            reduced = [1.0 / (1.0 / c) for c in links]
+            capacities = [reduced] * len(weights)
+            num_links = len(links)
         else:
             if "beliefs" not in payload:
                 raise RequestError("'states' also needs 'beliefs'")
-            states = _as_array(payload, "states", 2)
-            beliefs = _as_array(payload, "beliefs", 2)
+            states = np.array(_field(payload["states"], "states", 2))
+            beliefs = np.array(_field(payload["beliefs"], "beliefs", 2))
             if np.any(states <= 0.0):
                 raise RequestError("'states' capacities must be positive")
             if np.any(beliefs < 0.0):
@@ -256,19 +346,59 @@ class EquilibriumRequest:
                     f"'beliefs' covers {beliefs.shape[1]} states, "
                     f"'states' defines {states.shape[0]}"
                 )
+            # The model's belief-harmonic reduction (normalise, then
+            # the expected-inverse-capacity reciprocal) stays in NumPy:
+            # the row sum is pairwise past 8 states and the product runs
+            # through BLAS, so plain Python would change bits.
             sums = beliefs.sum(axis=1, keepdims=True)
             if np.any(np.abs(sums - 1.0) > 1e-9):
                 raise RequestError("each user's beliefs must sum to 1")
-            # The model's belief-harmonic reduction (normalise, then
-            # the expected-inverse-capacity reciprocal).
-            capacities = 1.0 / ((beliefs / sums) @ (1.0 / states))
+            capacities = (1.0 / ((beliefs / sums) @ (1.0 / states))).tolist()
+            num_links = states.shape[1]
         initial_traffic = (
-            _as_array(payload, "initial_traffic", 1)
+            _field(payload["initial_traffic"], "initial_traffic", 1)
             if "initial_traffic" in payload
             else None
         )
-        return cls.from_arrays(
-            weights, capacities, initial_traffic, check_width=check_width
+        n, m = len(capacities), num_links
+        if len(weights) != n:
+            raise RequestError(
+                f"'weights' has length {len(weights)} but "
+                + _USERS_AXIS[spelling].format(n)
+            )
+        if n < 2 or m < 2:
+            raise RequestError(
+                f"the model requires n > 1 and m > 1, got ({n}, {m})"
+            )
+        if min(weights) <= 0.0:
+            raise RequestError("weights must be finite and strictly positive")
+        entries = list(chain.from_iterable(capacities))
+        if not all(map(isfinite, entries)) or min(entries) <= 0.0:
+            raise RequestError("capacities must be finite and strictly positive")
+        if initial_traffic is None:
+            initial_traffic = [0.0] * m
+        elif len(initial_traffic) != m:
+            raise RequestError(
+                f"'initial_traffic' has length {len(initial_traffic)} but "
+                + _LINKS_AXIS[spelling].format(m)
+            )
+        elif min(initial_traffic) < 0.0:
+            raise RequestError("initial_traffic must be finite and non-negative")
+        if check_width and m**n > MAX_SERVICE_PROFILES:
+            raise RequestError(
+                f"game has {m}^{n} = {m**n} pure profiles; the service "
+                f"serves exhaustively-checkable games "
+                f"(<= {MAX_SERVICE_PROFILES})"
+            )
+        w, caps, t = _frozen(weights), _frozen(capacities), _frozen(initial_traffic)
+        # The digest reads the arrays just built from the validated
+        # floats: their ``tolist()`` gives the same lists back and costs
+        # less than checking that the lists hold nothing but floats.
+        return cls(
+            weights=w,
+            capacities=caps,
+            initial_traffic=t,
+            digest=game_digest(w, caps, t),
         )
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.generators.suites import GridCell
@@ -22,9 +22,11 @@ from repro.runtime import (
     ResultStore,
     SweepSpec,
     canonical_dumps,
+    canonical_loads,
     canonical_payload,
     run_sweep,
 )
+from repro.runtime import store as store_module
 from repro.runtime.store import NONFINITE_KEY, _encode_nonfinite
 from repro.util.parallel import ReplicationChunk
 
@@ -343,6 +345,68 @@ def test_canonical_dumps_matches_the_sentinel_walk(payload, kwargs):
         assert str(raised.value) == str(exc)
     else:
         assert canonical_dumps(payload, **kwargs) == expected
+
+
+
+#: The keyword sets the package passes ``canonical_dumps``, plus one it
+#: does not, which takes the ``json.dumps`` fallback.
+_KEYWORD_SETS = [
+    {},
+    {"sort_keys": True},
+    {"sort_keys": True, "separators": (",", ":")},
+    {"indent": 1},
+]
+
+
+def _outcome(fn, *args, **kwargs):
+    """``repr`` of *fn*'s result (NaN-aware), or its error's type and text."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads, st.sampled_from(_KEYWORD_SETS))
+def test_reused_encoders_equal_json_dumps(payload, kwargs):
+    """``canonical_dumps`` encodes with prebuilt encoders: each one's
+    strict pass gives ``json.dumps``'s text, or its error, and so does
+    the whole codec wherever there is nothing to rewrite."""
+    strict = _outcome(json.dumps, payload, allow_nan=False, **kwargs)
+    assert _outcome(store_module._dumps, payload, kwargs) == strict
+    if isinstance(strict, str) and NONFINITE_KEY not in strict:
+        assert canonical_dumps(payload, **kwargs) == json.dumps(
+            payload, allow_nan=False, **kwargs
+        )
+
+
+@st.composite
+def _json_texts(draw):
+    """Texts ``json.loads`` reads, some it refuses, with a BOM at times."""
+    payload = draw(_payloads)
+    texts = [json.dumps(payload), json.dumps(payload, separators=(",", ":"))]
+    try:
+        texts.append(canonical_dumps(payload))  # sentinel objects
+    except ValueError:  # the reserved key
+        pass
+    text = draw(st.sampled_from(texts) | st.text(max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        text = "\ufeff" + text
+    if draw(st.integers(0, 5)) == 0:
+        text = draw(st.sampled_from([f" {text}\n", text + "]", text + "{}"]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_texts(), st.booleans())
+@example('\ufeff{"op": "ping"}', False)
+def test_reused_decoder_equals_json_loads(text, as_bytes):
+    """``canonical_loads`` decodes with one prebuilt decoder and keeps
+    ``json.loads``'s refusals, the leading-BOM one included."""
+    raw = text.encode("utf-8") if as_bytes else text
+    assert _outcome(canonical_loads, raw) == _outcome(
+        json.loads, raw, object_hook=store_module._decode_hook
+    )
 
 
 class TestResumeAfterKill:
