@@ -14,9 +14,7 @@ Measures the E13 solver load two ways:
 
 The >= 5x gate runs at an E13-representative width; it measured
 9.4-9.7x on a 2-vCPU Xeon (7.2-7.4x while finished games still rode
-along in the NumPy loop's working tensors). The >= 2x numba gate holds
-the fused ``fixpoint_loop`` hook to its reason for existing and skips
-visibly without the ``[jit]`` extra; both land in
+along in the NumPy loop's working tensors). Its timings land in
 ``BENCH_trajectory.json`` so the solver's performance history is
 tracked per commit.
 
@@ -33,7 +31,6 @@ import numpy as np
 import pytest
 from _timing import _timed
 
-from repro.batch.backend import available_backends, use_backend
 from repro.batch.container import GameBatch
 from repro.batch.fixpoint import batch_fixpoint_mixed_nash
 from repro.experiments.fixpoint_tier import e13_specs
@@ -98,35 +95,6 @@ def test_fixpoint_batched_speedup_at_least_5x(report, trajectory):
         f"{sequential * 1e3:.2f} ms, speedup {ratio:.1f}x"
     )
     assert ratio >= 5.0, f"batched fixpoint solve only {ratio:.2f}x faster"
-
-
-@pytest.mark.skipif(
-    not available_backends().get("numba", False),
-    reason="numba not installed — the fused fixpoint_loop gate needs "
-    "the [jit] extra",
-)
-def test_fixpoint_numba_speedup_at_least_2x(report, trajectory):
-    """Acceptance gate: the fused JIT loop >= 2x the NumPy reference."""
-    batch = _stack()
-    reference = batched_solve(batch)
-    with use_backend("numba"):
-        batched_solve(batch)  # JIT warm-up outside the timed region
-        jit = batched_solve(batch)
-    np.testing.assert_array_equal(
-        jit.probabilities, reference.probabilities
-    )
-    np.testing.assert_array_equal(jit.rounds, reference.rounds)
-
-    numpy_times = [_timed(lambda: batched_solve(batch)) for _ in range(5)]
-    with use_backend("numba"):
-        jit_times = [_timed(lambda: batched_solve(batch)) for _ in range(5)]
-    trajectory.record("fixpoint-numba", jit_times, numpy_times)
-    ratio = min(numpy_times) / min(jit_times)
-    report.append(
-        f"[fixpoint] numba fused loop {min(jit_times) * 1e3:.2f} ms vs "
-        f"numpy {min(numpy_times) * 1e3:.2f} ms, speedup {ratio:.1f}x"
-    )
-    assert ratio >= 2.0, f"fused fixpoint loop only {ratio:.2f}x faster"
 
 
 def test_batched_fixpoint_solve(benchmark):

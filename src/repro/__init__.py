@@ -12,7 +12,7 @@ capacities, and implements everything the paper builds or cites:
   worst-case (social-cost-maximising) verification;
 * the price-of-anarchy bounds of Theorems 4.13/4.14;
 * the substrates: the KP-model and Milchtaich's player-specific games;
-* the experiment harness (E1-E12) regenerating every checkable artefact;
+* the experiment harness (E1-E13) regenerating every checkable artefact;
 * the batched game engine (:mod:`repro.batch`) — B instances stacked
   into ``(B, n, m)`` tensors, with vectorised kernels, lockstep
   best-response dynamics and stacked support enumeration; the

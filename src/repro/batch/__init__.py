@@ -29,18 +29,11 @@ The subsystem behind the library's instance-parallel workloads:
   :func:`repro.analysis.cycles.realize_cycle` are their ``B = 1``
   views;
 * :mod:`repro.batch.generator`   — one-pass vectorised instance drawing;
-* :mod:`repro.batch.backend`     — the fused-hook seam: the kernels
-  above are NumPy code, and the ``numba`` backend may take over their
-  branch-heavy loops (census, nashification, dynamics, fixed point).
+* :mod:`repro.batch.backend`     — the backend's provenance name: every
+  kernel above is NumPy code, so :func:`get_backend` names ``numpy``.
 """
 
-from repro.batch.backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.batch.backend import get_backend
 from repro.batch.container import GameBatch
 from repro.batch.dynamics import (
     BatchDynamicsResult,
@@ -103,11 +96,7 @@ from repro.batch.poa import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "GameBatch",
     "BatchDynamicsResult",
     "batch_best_response_dynamics",

@@ -31,7 +31,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.errors import ModelError
-from repro.batch.backend import get_backend
 from repro.batch.container import GameBatch
 from repro.batch.kernels import _scatter_loads
 from repro.util.rng import RandomState, as_generator
@@ -155,30 +154,6 @@ def _run_batch_dynamics(
     b, n = sigma.shape
     m = batch.num_links
     weights, caps, traffic = batch.weights, batch.capacities, batch.initial_traffic
-
-    hook = get_backend().dynamics_loop
-    if hook is not None:
-        # Fused backend stepper (e.g. the Numba per-game loops). May
-        # decline (None) — enormous games whose profile codes overflow
-        # int64 fall back to the generic byte-hash path below.
-        fused = hook(
-            sigma,
-            weights,
-            caps,
-            traffic,
-            mode == "best",
-            schedule == "max_regret",
-            max_steps,
-            tol,
-        )
-        if fused is not None:
-            f_sigma, f_converged, f_steps, f_cycled = fused
-            return BatchDynamicsResult(
-                profiles=f_sigma,
-                converged=f_converged,
-                steps=f_steps,
-                cycled=f_cycled,
-            )
 
     active = np.ones(b, dtype=bool)
     converged = np.zeros(b, dtype=bool)

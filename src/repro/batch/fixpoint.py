@@ -28,9 +28,9 @@ round (1, 2, 4, ... ``beta_max``), so early rounds move smoothly while
 late rounds sharpen supports. ``q ** beta`` is computed by repeated
 squaring of power-of-two exponents — no ``exp``/``pow``/``log`` — so
 the whole update is elementwise IEEE arithmetic plus index-order
-accumulations, which is what lets the numba fused kernel reproduce the
-NumPy path *bit for bit* (the same contract as
-:func:`repro.batch.kernels._scatter_loads`).
+accumulations, which is what lets any loop that keeps those orders
+(``tests/fixpoint_oracle.py``) reproduce it *bit for bit* (the same
+contract as :func:`repro.batch.kernels._scatter_loads`).
 
 Link traffic ``W^l = sum_i p_il w_i`` is maintained incrementally
 inside a round (subtract the mover's old row contribution, add the
@@ -78,26 +78,19 @@ below rely on.
 
 NumPy round loop
 ----------------
-The generic loop is the bit-parity reference, and it keeps only the
-games still running in its working tensors: when a game converges or
-stalls, its rows are written to the output and ``P``, ``w``, the
-capacities and the traffic shrink to the rest, so no update is masked
-and a straggler's tail costs what the straggler costs. The working
-tensors are user-major, ``(n, B', m)``, so each user's step reads and
-writes one contiguous ``(B', m)`` block. The two index-order sums are
-one call each: :func:`numpy.add.accumulate` is a sequential scan, and
-since every term is ``>= +0.0`` its last entry equals the sum started
-from ``0.0`` bit for bit — over users for the traffic rebuild, over
-links for each row's normaliser.
-
-Backend seam
-------------
-The whole round loop is the ``fixpoint_loop`` fused hook
-(:data:`~repro.batch.backend.FUSED_HOOKS`), which the numba backend
-implements as a compiled ``prange``-per-game loop reproducing the
-generic trajectory state for state; ``tests/fixpoint_oracle.py`` keeps
-the masked ``(B, n, m)`` loop the NumPy path replaced, and the two are
-held equal bit for bit.
+The round loop keeps only the games still running in its working
+tensors: when a game converges or stalls, its rows are written to the
+output and ``P``, ``w``, the capacities and the traffic shrink to the
+rest, so no update is masked and a straggler's tail costs what the
+straggler costs. The working tensors are user-major, ``(n, B', m)``,
+so each user's step reads and writes one contiguous ``(B', m)`` block.
+The two index-order sums are one call each:
+:func:`numpy.add.accumulate` is a sequential scan, and since every
+term is ``>= +0.0`` its last entry equals the sum started from ``0.0``
+bit for bit — over users for the traffic rebuild, over links for each
+row's normaliser. ``tests/fixpoint_oracle.py`` keeps the masked
+``(B, n, m)`` loop this one replaced, and the two are held equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +100,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch.backend import get_backend
 from repro.batch.mixed import SUPPORT_ATOL, batch_is_mixed_nash
 from repro.errors import DimensionError, ModelError
 
@@ -149,7 +141,7 @@ DEFAULT_STALL_ROUNDS = 1000
 #: Relative improvement that resets the stall window.
 STALL_RTOL = 1e-3
 
-#: The loop parameters of the ``fixpoint_loop`` hook: ``(tol, eta,
+#: The parameters of :func:`_generic_fixpoint_loop`: ``(tol, eta,
 #: log2_beta_max, max_rounds, stall_rounds, stall_rtol)``.
 _LoopArgs = tuple[float, float, int, int, int, float]
 
@@ -204,7 +196,7 @@ def _validated(
     certify_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, _LoopArgs]:
     """The solver's whole input, checked once: ``(w, caps, t, args)``
-    with *args* the loop parameters of the ``fixpoint_loop`` hook.
+    with *args* the parameters of :func:`_generic_fixpoint_loop`.
 
     A bad shape raises :class:`~repro.errors.DimensionError`, a bad
     value :class:`~repro.errors.ModelError`; past this point every
@@ -280,8 +272,9 @@ def _generic_fixpoint_loop(
     stall_rounds: int,
     stall_rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bit-parity reference round loop (see the hook contract on
-    :class:`~repro.batch.backend.ArrayBackend`)."""
+    """The round loop: ``(probabilities, rounds, residuals, converged,
+    stalled)`` for the ``(B, n, m)`` stack, each game's trajectory
+    independent of its batch-mates (module notes)."""
     b, n, m = caps.shape
     probabilities = np.full((b, n, m), 1.0 / m)
     rounds = np.zeros(b, dtype=np.int64)
@@ -390,8 +383,7 @@ def batch_fixpoint_mixed_nash(
 
     Determinism: the trajectory of game ``b`` is a pure function of
     that game's reduced form and the solver parameters — independent of
-    its batch-mates, batch order and padding, and identical between the
-    NumPy reference and the numba fused hook bit for bit.
+    its batch-mates, batch order and padding.
 
     *beta_max* must be a power of two (the anneal doubles up to it and
     the exponentiation is by repeated squaring). Input outside the
@@ -411,13 +403,7 @@ def batch_fixpoint_mixed_nash(
         stall_rtol=stall_rtol,
         certify_tol=certify_tol,
     )
-    hook = get_backend().fixpoint_loop
-    fused = None
-    if hook is not None:
-        fused = hook(w, caps, t, *args)
-    if fused is None:
-        fused = _generic_fixpoint_loop(w, caps, t, *args)
-    p, rounds, residuals, converged, stalled = fused
+    p, rounds, residuals, converged, stalled = _generic_fixpoint_loop(w, caps, t, *args)
     certified = batch_is_mixed_nash(p, w, caps, t, tol=certify_tol)
     return BatchFixpointResult(
         probabilities=p,

@@ -31,20 +31,12 @@ determinism contract is enforced against frozen outputs of the
 original implementation in ``tests/data/e5_seed_baseline.json``. Keep
 both properties intact: the Conjecture 3.7 campaign promises results
 identical to the sequential implementation under the same seeds.
-
-Backend seam: :func:`batch_loads` and the census kernels dispatch to
-the active backend's fused ``scatter_loads`` / ``count_pure_nash`` /
-``exists_pure_nash`` hooks when set (the Numba JIT path, see
-:mod:`repro.batch.backend`), whose verdicts are certified by
-tolerance-based differential tests instead of byte identity. Without
-a hook the NumPy code below runs and the parity contracts above hold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.backend import get_backend
 from repro.errors import DimensionError, ModelError
 
 __all__ = [
@@ -85,9 +77,6 @@ def _scatter_loads(
     the accumulation order of the single-game ``loads_of``, which is
     the bit-parity contract every batched kernel rests on.
     """
-    hook = get_backend().scatter_loads
-    if hook is not None:
-        return hook(sigma, weights, num_links, initial_traffic)
     a = sigma.shape[0]
     codes = sigma + (np.arange(a) * num_links)[:, None]
     loads = np.bincount(codes.ravel(), weights=weights.ravel(), minlength=a * num_links)
@@ -391,17 +380,6 @@ def batch_count_pure_nash(
     """
     n, m = batch.num_users, batch.num_links
     assignments = _all_assignments(n, m)
-    hook = get_backend().count_pure_nash
-    if hook is not None:
-        # Fused backend kernel (e.g. the Numba per-game census loop):
-        # no one-hot tensors, no profile blocking needed.
-        return hook(
-            assignments,
-            batch.weights,
-            batch.capacities,
-            batch.initial_traffic,
-            tol,
-        )
     total = assignments.shape[0]
     counts = np.zeros(len(batch), dtype=np.int64)
     block = block_size or _profile_block(len(batch), n, m)
@@ -431,15 +409,6 @@ def batch_exists_pure_nash(
     """
     n, m = batch.num_users, batch.num_links
     assignments = _all_assignments(n, m)
-    hook = get_backend().exists_pure_nash
-    if hook is not None:
-        return hook(
-            assignments,
-            batch.weights,
-            batch.capacities,
-            batch.initial_traffic,
-            tol,
-        )
     total = assignments.shape[0]
     found = np.zeros(len(batch), dtype=bool)
     block = block_size or _profile_block(len(batch), n, m)

@@ -54,7 +54,6 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.batch.backend import get_backend
 from repro.batch.container import GameBatch
 from repro.batch.dynamics import batch_best_response_dynamics, deviation_slab
 from repro.batch.kernels import _all_assignments, _profile_block, _scatter_loads
@@ -208,80 +207,65 @@ def batch_nashify_common_beliefs(
     sc2_before = lat0.max(axis=1)
     congestion_before = (loads0 / caps_row).max(axis=1)
 
-    hook = get_backend().nashify_common_loop
-    fused = None
-    if hook is not None:
-        # Fused backend stepper: per-game sequential loops reproducing
-        # the lockstep trajectory move for move (same defector and
-        # target tie-breaks). May decline (None) for the generic path.
-        fused = hook(sigma, weights, capacities, caps_row, traffic, max_steps)
-    if fused is not None:
-        sigma, steps, converged = fused
-        if not converged.all():
-            raise ConvergenceError(
-                f"nashification exceeded {max_steps} steps for "
-                f"{int((~converged).sum())} of {b} games (n={n})"
-            )
-    else:
-        active = np.ones(b, dtype=bool)
-        steps = np.zeros(b, dtype=np.int64)
-        all_rows = np.arange(b)[:, None]
-        user_cols = np.arange(n)[None, :]
+    active = np.ones(b, dtype=bool)
+    steps = np.zeros(b, dtype=np.int64)
+    all_rows = np.arange(b)[:, None]
+    user_cols = np.arange(n)[None, :]
 
-        iteration = 0
-        while active.any() and iteration < max_steps:
-            idx = np.flatnonzero(active)
-            a = idx.size
-            sig_a = sigma[idx]
-            w_a = weights[idx]
-            loads = _scatter_loads(sig_a, w_a, m, traffic[idx])
-            dev = deviation_slab(
-                sig_a,
-                w_a,
-                capacities[idx],
-                traffic[idx],
-                all_rows,
-                user_cols,
-                loads=loads,
-            )
-            rows = np.arange(a)
-            current = dev[rows[:, None], user_cols, sig_a]
-            scale = np.maximum(current, 1.0)
-            improving = dev.min(axis=-1) < current - 1e-9 * scale  # (A, n)
-            has_mover = improving.any(axis=-1)
+    iteration = 0
+    while active.any() and iteration < max_steps:
+        idx = np.flatnonzero(active)
+        a = idx.size
+        sig_a = sigma[idx]
+        w_a = weights[idx]
+        loads = _scatter_loads(sig_a, w_a, m, traffic[idx])
+        dev = deviation_slab(
+            sig_a,
+            w_a,
+            capacities[idx],
+            traffic[idx],
+            all_rows,
+            user_cols,
+            loads=loads,
+        )
+        rows = np.arange(a)
+        current = dev[rows[:, None], user_cols, sig_a]
+        scale = np.maximum(current, 1.0)
+        improving = dev.min(axis=-1) < current - 1e-9 * scale  # (A, n)
+        has_mover = improving.any(axis=-1)
 
-            done = idx[~has_mover]
-            if done.size:
-                active[done] = False
-                if not has_mover.any():
-                    iteration += 1
-                    continue
-                act = idx[has_mover]
-                improving = improving[has_mover]
-                dev = dev[has_mover]
-                loads = loads[has_mover]
-                sig_a = sig_a[has_mover]
-            else:
-                act = idx
+        done = idx[~has_mover]
+        if done.size:
+            active[done] = False
+            if not has_mover.any():
+                iteration += 1
+                continue
+            act = idx[has_mover]
+            improving = improving[has_mover]
+            dev = dev[has_mover]
+            loads = loads[has_mover]
+            sig_a = sig_a[has_mover]
+        else:
+            act = idx
 
-            congestion = loads / caps_row[act]
-            worst = congestion >= congestion.max(axis=1, keepdims=True) * (1 - 1e-12)
-            on_worst = improving & np.take_along_axis(worst, sig_a, axis=1)
-            any_worst = on_worst.any(axis=1)
-            user = np.where(
-                any_worst, np.argmax(on_worst, axis=1), np.argmax(improving, axis=1)
-            )
-            rows = np.arange(act.size)
-            target = np.argmin(dev[rows, user], axis=1)
-            sigma[act, user] = target
-            steps[act] += 1
-            iteration += 1
+        congestion = loads / caps_row[act]
+        worst = congestion >= congestion.max(axis=1, keepdims=True) * (1 - 1e-12)
+        on_worst = improving & np.take_along_axis(worst, sig_a, axis=1)
+        any_worst = on_worst.any(axis=1)
+        user = np.where(
+            any_worst, np.argmax(on_worst, axis=1), np.argmax(improving, axis=1)
+        )
+        rows = np.arange(act.size)
+        target = np.argmin(dev[rows, user], axis=1)
+        sigma[act, user] = target
+        steps[act] += 1
+        iteration += 1
 
-        if active.any():
-            raise ConvergenceError(
-                f"nashification exceeded {max_steps} steps for "
-                f"{int(active.sum())} of {b} games (n={n})"
-            )
+    if active.any():
+        raise ConvergenceError(
+            f"nashification exceeded {max_steps} steps for "
+            f"{int(active.sum())} of {b} games (n={n})"
+        )
 
     loads1 = _scatter_loads(sigma, weights, m, traffic)
     lat1 = _chosen_latencies(sigma, loads1, capacities)
@@ -722,18 +706,6 @@ def batch_response_cycle_census(
     states are left over.
     """
     total = _census_states(batch, kind)
-    hook = get_backend().census_cycle
-    if hook is not None:
-        # Fused backend census: per-game edge extraction + Kahn peel
-        # recomputing edges on the fly instead of materialising the
-        # flattened stack. May decline (None) for the generic path.
-        assignments = _all_assignments(batch.num_users, batch.num_links)
-        fused = hook(
-            assignments, batch.weights, batch.capacities,
-            batch.initial_traffic, kind == "best", tol,
-        )
-        if fused is not None:
-            return fused
     src, dst = batch_response_edges(
         batch, kind=kind, tol=tol, block_size=block_size
     )

@@ -23,14 +23,13 @@ Subcommands:
   ``--store``; writes ``<stem>.shard-k<suffix>``): the scale-out path —
   run the K shards on any hosts in any order, ``merge`` their stores,
   then replay verdicts from the merged store with ``run/report
-  --store ... --resume``;
-* ``--backend``          — array backend for the batch kernels (the
-  numpy reference or the numba JIT; also exported through
-  ``REPRO_BACKEND`` so process-pool workers inherit it).
+  --store ... --resume``.
 
 Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
 verdict; the process exit code is non-zero when any experiment fails,
-making the CLI usable as a reproduction gate in CI.
+making the CLI usable as a reproduction gate in CI. A store that cannot
+be read or resumed (a line that is not a chunk record, a record from
+another backend) is one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro.errors import StoreError
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 __all__ = ["main", "build_parser", "expand_ids"]
@@ -90,7 +90,7 @@ def expand_ids(ids: Sequence[str]) -> list[str]:
     ``all`` expands in place to the full registry; duplicates (including
     case variants like ``e5``/``E5``, and ids repeated through ``all``)
     collapse onto their first occurrence, so ``run E5 E5 all`` runs E5
-    once, first, followed by the remaining eleven experiments.
+    once, first, followed by the remaining twelve experiments.
     """
     expanded: list[str] = []
     for raw in ids:
@@ -119,34 +119,6 @@ def _experiment_ids(
             f"{', '.join(EXPERIMENTS)} or 'all'"
         )
     return expanded
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the batch kernels (e.g. numpy, numba); "
-             "default: $REPRO_BACKEND or numpy",
-    )
-
-
-def _select_backend(name: str | None, parser: argparse.ArgumentParser) -> None:
-    """Activate ``--backend`` (and propagate it to worker processes)."""
-    if name is None:
-        return
-    import os
-
-    from repro.batch.backend import ENV_VAR, set_backend
-    from repro.errors import BackendError
-
-    try:
-        set_backend(name)
-    except BackendError as exc:
-        parser.error(str(exc))
-    # Process-pool campaign workers resolve the backend from the
-    # environment; exporting keeps their choice in lockstep with ours.
-    os.environ[ENV_VAR] = name
 
 
 def _add_runtime_flags(
@@ -205,7 +177,6 @@ def _add_runtime_flags(
                  "<stem>.shard-k<suffix> next to it); combine completed "
                  "shards with the merge subcommand",
         )
-    _add_backend_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="round budget for the iterative 'fixpoint' op "
              "(default: the solver's own budget)",
     )
-    _add_backend_flag(serve_p)
     return parser
 
 
@@ -383,7 +353,6 @@ def _cmd_run_shard(ids: Sequence[str], quick: bool, shard, **options) -> int:
 
 
 def _cmd_merge(store: str, shards: Sequence[str] | None, force: bool) -> int:
-    from repro.errors import StoreMergeError
     from repro.runtime import discover_shard_stores, merge_shard_stores
 
     sources = (
@@ -398,7 +367,7 @@ def _cmd_merge(store: str, shards: Sequence[str] | None, force: bool) -> int:
         return 1
     try:
         result = merge_shard_stores(sources, store, force=force)
-    except StoreMergeError as exc:
+    except StoreError as exc:
         print(f"merge failed: {exc}", file=sys.stderr)
         return 1
     print(
@@ -420,7 +389,11 @@ def _cmd_digest(store: str) -> int:
     if not Path(store).is_file():
         print(f"digest: no store file at {store}", file=sys.stderr)
         return 2
-    print(ResultStore(store).canonical_digest())
+    try:
+        print(ResultStore(store).canonical_digest())
+    except StoreError as exc:
+        print(f"digest: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -515,7 +488,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_merge(args.store, args.shards, args.force)
     if args.command == "digest":
         return _cmd_digest(args.store)
-    _select_backend(args.backend, parser)
     if args.command == "serve":
         return _cmd_serve(
             args.host,
@@ -529,26 +501,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --store")
     if args.command == "run":
         ids = _experiment_ids(args.ids, parser)
+        if args.shard is not None and not args.store:
+            parser.error("--shard requires --store")
+    else:
+        ids = None if args.ids is None else _experiment_ids(args.ids, parser)
+    try:
+        if args.command == "report":
+            return _cmd_report(
+                args.output, args.quick, ids, **_runtime_options(args)
+            )
         if args.shard is not None:
-            if not args.store:
-                parser.error("--shard requires --store")
             return _cmd_run_shard(
-                ids,
-                args.quick,
-                args.shard,
-                jobs=args.jobs,
-                batch_size=args.batch_size,
-                seed=args.seed,
-                store=args.store,
-                resume=args.resume,
+                ids, args.quick, args.shard, **_runtime_options(args)
             )
         return _cmd_run(ids, args.quick, **_runtime_options(args))
-    if args.command == "report":
-        ids = None if args.ids is None else _experiment_ids(args.ids, parser)
-        return _cmd_report(
-            args.output, args.quick, ids, **_runtime_options(args)
-        )
-    raise AssertionError("unreachable")  # pragma: no cover
+    except StoreError as exc:  # a foreign line, another backend's record
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

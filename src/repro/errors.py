@@ -16,6 +16,7 @@ __all__ = [
     "DimensionError",
     "BeliefError",
     "AlgorithmDomainError",
+    "StoreError",
     "BackendError",
     "StoreMergeError",
     "SolverError",
@@ -50,17 +51,24 @@ class AlgorithmDomainError(ReproError, ValueError):
     """
 
 
-class BackendError(ReproError, ValueError):
-    """An array backend is unknown, unavailable, or mismatched.
+class StoreError(ReproError, ValueError):
+    """A result store cannot be read, resumed or merged.
 
-    Raised when resolving an unknown backend name (the message lists
-    the choices), when ``numba`` is selected without the ``repro[jit]``
-    extra installed, and when a campaign resume targets a result store
-    produced under a different backend.
+    Raised directly when a store line other than a torn final fragment
+    is not a chunk record; the message names the file and the line.
     """
 
 
-class StoreMergeError(ReproError, ValueError):
+class BackendError(StoreError):
+    """A store record names an array backend other than ``numpy``.
+
+    Raised when a campaign resume reads such a record: an older
+    version's ``numba`` backend certified its census verdicts only to a
+    tolerance, so its chunks are never mixed into a NumPy store.
+    """
+
+
+class StoreMergeError(StoreError):
     """Merging shard result stores failed.
 
     Raised when two shards disagree about the same chunk key (their

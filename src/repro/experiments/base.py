@@ -17,7 +17,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        The DESIGN.md identifier (``"E1"`` ... ``"E12"``).
+        The DESIGN.md identifier (``"E1"`` ... ``"E13"``).
     title:
         The paper artefact being reproduced.
     passed:

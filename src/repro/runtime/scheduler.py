@@ -1,7 +1,7 @@
 """The chunked sweep scheduler: spec in, per-cell payloads out.
 
 :func:`run_sweep` is the single execution path behind every experiment
-campaign (E1-E12). It expands a :class:`~repro.runtime.spec.SweepSpec`
+campaign (E1-E13). It expands a :class:`~repro.runtime.spec.SweepSpec`
 into replication chunks, restricts them to one shard of a
 :class:`~repro.runtime.spec.ShardPlan` when asked (``shard=``), skips
 the chunks a result store already holds (``resume=True``), fans the
@@ -138,21 +138,24 @@ def run_sweep(
             if key in stored:
                 record = stored[key]
                 # Pre-backend stores carry no provenance field and are
-                # accepted (they were all NumPy); a recorded mismatch is
-                # refused — mixing backends would break the resumed
-                # store's byte-identity guarantee.
+                # accepted (they were all NumPy). Another name is
+                # refused: an older version's numba census verdicts were
+                # only certified to a tolerance, and mixing them in would
+                # break the resumed store's byte identity.
                 stored_backend = record.get("backend")
                 if stored_backend is not None and stored_backend != backend_name:
                     raise BackendError(
                         f"cannot resume from {store.path}: chunk "
                         f"{key} was computed under backend "
-                        f"{stored_backend!r}, but this run uses "
-                        f"{backend_name!r}; rerun with --backend "
-                        f"{stored_backend} or start a fresh store"
+                        f"{stored_backend!r}, not {backend_name!r}; "
+                        f"start a fresh store"
                     )
                 payloads[i] = record["payload"]
                 done[i] = True
                 resumed += 1
+        # Heal a killed run's final line before anything is appended, and
+        # only once the store is accepted: a refused store keeps its bytes.
+        store.repair_tail()
 
     pending = [i for i, complete in enumerate(done) if not complete]
     results = iter_tasks(spec.kernel, [chunks[i] for i in pending], jobs=jobs)

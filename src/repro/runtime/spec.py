@@ -105,7 +105,7 @@ class SweepSpec:
     Attributes
     ----------
     experiment:
-        The experiment id the sweep belongs to (``"E1"`` ... ``"E12"``);
+        The experiment id the sweep belongs to (``"E1"`` ... ``"E13"``);
         recorded in every store line.
     label:
         Seed-derivation label. Usually equals *experiment*; multi-part

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, Union
 
-from repro.errors import StoreMergeError
+from repro.errors import StoreError, StoreMergeError
 
 __all__ = [
     "MergeResult",
@@ -183,6 +183,20 @@ def canonical_payload(payload: Any) -> Any:
     return canonical_loads(canonical_dumps(payload))
 
 
+def _parse_record(line: bytes) -> dict[str, Any] | None:
+    """The chunk record one store line holds, or ``None`` if it holds none.
+
+    A record is a JSON object with the :data:`StoreKey` fields and a
+    ``payload``.
+    """
+    try:
+        record = canonical_loads(line.decode("utf-8"))
+        ResultStore.record_key(record)
+    except (KeyError, RecursionError, TypeError, ValueError):
+        return None
+    return record if "payload" in record else None
+
+
 class ResultStore:
     """An append-only JSONL file of per-chunk campaign results."""
 
@@ -210,48 +224,44 @@ class ResultStore:
         )
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
-        """Stored chunk records in file order, tail repaired first.
+        """Stored chunk records in file order. Reading never writes.
 
-        The tail repair is what makes *reading* a killed store safe: a
-        kill that lands between the final record and its newline leaves
-        a valid-but-unterminated line, and a kill mid-write leaves a
-        torn fragment — :meth:`repair_tail` heals the former and drops
-        the latter before the file is parsed, so no reader (resume,
-        merge, digest) can silently lose a shard's last record or trip
-        over a fragment. A store that cannot be opened for writing
-        (read-only artifact) is read as-is; the unterminated-tail case
-        still parses, only the on-disk healing is skipped. Other damaged
-        lines are skipped, and duplicate keys are *not* collapsed here —
-        :meth:`load_records` layers last-wins on top.
+        A kill that lands between the final record and its newline
+        leaves a valid unterminated line, which is kept; a kill mid-write
+        leaves a torn final fragment, which is skipped. So no reader
+        (resume, merge, digest) loses a shard's last record or trips
+        over a fragment, and the file keeps its bytes until a resume or
+        an append heals it (:meth:`repair_tail`). Any other non-blank
+        line that is not a chunk record raises
+        :class:`~repro.errors.StoreError` naming the file and line.
+        Duplicate keys are *not* collapsed here — :meth:`load_records`
+        layers last-wins on top.
         """
         try:
-            self.repair_tail()
-        except OSError:
-            pass
-        if not self.path.exists():
+            fh = self.path.open("rb")
+        except FileNotFoundError:
             return
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        with fh:
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
                     continue
-                try:
-                    record = canonical_loads(line)
-                    self.record_key(record)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    continue
+                record = _parse_record(line)
+                if record is None:
+                    if not line.endswith(b"\n"):
+                        return  # a torn final fragment
+                    raise StoreError(f"{self.path}, line {number}: not a chunk record")
                 yield record
 
     def load_records(self) -> dict[StoreKey, dict[str, Any]]:
         """All stored chunk records keyed by chunk; later lines win.
 
         Missing file means an empty store (a fresh ``--resume`` run is
-        just a fresh run). The tail is repaired before reading (see
-        :meth:`iter_records`), so a killed run's final record is healed
-        rather than silently dropped, and a torn fragment never blocks a
-        resume — the chunk is simply recomputed and re-appended. Records
-        carry the payload plus provenance fields (e.g. the ``backend``
-        that computed the chunk, absent in pre-backend stores).
+        just a fresh run). A killed run's final record is kept rather
+        than silently dropped, and a torn fragment never blocks a resume
+        — the chunk is simply recomputed and re-appended (see
+        :meth:`iter_records`). Records carry the payload plus provenance
+        fields (the ``backend`` that computed the chunk, absent in
+        pre-backend stores).
         """
         return {self.record_key(r): r for r in self.iter_records()}
 
@@ -278,10 +288,11 @@ class ResultStore:
         a resume: a kill that lands exactly between the final record and
         its newline leaves a fully-parseable store whose resume computes
         (and therefore appends) nothing, so the missing terminator must
-        be healed up front, not lazily on the next write.
+        be healed up front, not lazily on the next write. Readers never
+        call it.
         """
         try:
-            fh = self.path.open("r+b")
+            fh = self.path.open("rb")
         except FileNotFoundError:
             return
         with fh:
@@ -294,14 +305,14 @@ class ResultStore:
                 return
             fh.seek(0)
             data = fh.read()
-            newline_at = data.rfind(b"\n")
-            tail = data[newline_at + 1 :]
-            try:
-                self.record_key(json.loads(tail.decode("utf-8")))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    UnicodeDecodeError, ValueError):
-                fh.truncate(newline_at + 1 if newline_at >= 0 else 0)
+        # Only a damaged tail opens the file for writing, so a healthy
+        # read-only store still resumes.
+        newline_at = data.rfind(b"\n")
+        with self.path.open("r+b") as fh:
+            if _parse_record(data[newline_at + 1 :]) is None:
+                fh.truncate(newline_at + 1)
             else:
+                fh.seek(0, 2)
                 fh.write(b"\n")
 
     def append(self, record: dict[str, Any]) -> None:
@@ -341,9 +352,9 @@ def canonical_record_digest(records: Iterable[dict[str, Any]]) -> str:
     non-finite sentinel), one per line — the same bytes
     :meth:`ResultStore.append` writes — so the digest of a complete
     sharded campaign equals the digest of the single-host store.
-    Provenance fields (e.g. ``backend``) participate: stores computed
-    under different backends are not canonically equal even when their
-    payloads agree, mirroring the resume path's refusal to mix backends.
+    Provenance fields (``backend``) participate: a record that names
+    another backend is not canonically equal to a NumPy one even when
+    their payloads agree, mirroring the resume path's refusal of it.
     """
     ordered = sorted(records, key=ResultStore.record_key)
     blob = "\n".join(canonical_dumps(r, sort_keys=True) for r in ordered)
@@ -417,10 +428,11 @@ def merge_shard_stores(
     collapsed onto its first occurrence, while records that disagree
     raise :class:`~repro.errors.StoreMergeError` — two shards computed
     different answers for the same chunk, which the deterministic
-    seed policy makes impossible unless flags (seed, batch size,
-    backend) were mixed. Every shard's tail is repaired before reading
-    (see :meth:`ResultStore.iter_records`), so a killed shard's last
-    record is merged, not dropped.
+    seed policy makes impossible unless flags (seed, batch size) or
+    code versions were mixed. Shards are read, never written: a killed
+    shard's last record is merged, not dropped, and a line that is not
+    a chunk record raises :class:`~repro.errors.StoreError` (see
+    :meth:`ResultStore.iter_records`).
 
     The merged file is written atomically (temp file + rename); an
     existing non-empty *dest* is refused unless *force* is set.
@@ -468,7 +480,7 @@ def merge_shard_stores(
                         f"{shard_stores[first_shard].path} and "
                         f"{shard_stores[shard_index].path} hold different "
                         f"canonical records (were the shards run with "
-                        f"different --seed/--batch-size/--backend flags?)"
+                        f"different --seed/--batch-size flags?)"
                     )
                 duplicates += 1
                 continue

@@ -25,7 +25,7 @@ requests per connection and match the (possibly reordered) responses:
   non-convergence flag;
 * ``{"op": "stats"}`` → batcher/cache counters;
 * ``{"op": "info"}`` → deployment facts: the array backend solving the
-  queries and which backends this host could offer;
+  queries (always ``numpy``);
 * ``{"op": "ping"}`` → liveness;
 * ``{"op": "shutdown"}`` → acknowledges, then gracefully stops the
   server (drains in-flight batches first).
@@ -45,7 +45,7 @@ import asyncio
 import functools
 from typing import Any, Callable, Sequence
 
-from repro.batch.backend import available_backends, get_backend
+from repro.batch.backend import get_backend
 from repro.batch.fixpoint import DEFAULT_MAX_ROUNDS
 from repro.runtime.store import canonical_dumps, canonical_loads
 from repro.service.batcher import DynamicBatcher, Solver
@@ -188,11 +188,8 @@ class EquilibriumServer:
         }
 
     def info(self) -> dict[str, Any]:
-        """Deployment facts: which backend answers, what the host offers."""
-        return {
-            "backend": get_backend().name,
-            "backends": available_backends(),
-        }
+        """Deployment facts: which backend answers."""
+        return {"backend": get_backend().name}
 
     # ------------------------------------------------------------------ #
     # protocol

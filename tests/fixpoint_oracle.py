@@ -6,9 +6,9 @@ generic path learned to drop finished games: every game of the stack
 stays in the ``(B, n, m)`` working tensor to the last round, finished
 games are held by ``np.where(active, ...)`` masks, and the index-order
 sums are Python-level loops of ``+``. It takes the validated arrays and
-loop parameters of the hook contract on
-:class:`~repro.batch.backend.ArrayBackend` and returns the same five
-arrays, so the generic loop is held to it bit for bit.
+loop parameters :func:`repro.batch.fixpoint._generic_fixpoint_loop`
+takes and returns the same five arrays, so that loop is held to it bit
+for bit.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ and the input domain the solver runs it on.
 :func:`repro.batch.fixpoint._generic_fixpoint_loop` drops finished games
 from its working tensors, keeps them user-major and sums in index order
 with :func:`numpy.add.accumulate`; ``tests/fixpoint_oracle.py`` keeps
-the masked loop it replaced. The loop is called directly, so that a
-backend hook cannot stand in for it, and all five outputs must equal
-the oracle's under :func:`numpy.array_equal`.
+the masked loop it replaced. The loop is called directly, and all five
+outputs must equal the oracle's under :func:`numpy.array_equal`.
 
 :func:`~repro.batch.fixpoint.batch_fixpoint_mixed_nash` validates its
 whole input before the loop runs: a bad shape raises

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch.backend import ENV_VAR
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -110,8 +109,8 @@ class TestRuntimeImports:
         the CLI (what ``serve`` loads), not E4's and E6's game graphs and
         cycle searches (once a graph library), not E6's ordinal potential
         (once scipy, for ``log k!``), not the Milchtaich search, and no
-        optional array library. Checked in a fresh interpreter, with the
-        default backend, because this process has imported more."""
+        optional array library. Checked in a fresh interpreter, because
+        this process has imported more."""
         script = (
             "import sys\n"
             "from importlib.metadata import packages_distributions\n"
@@ -128,8 +127,7 @@ class TestRuntimeImports:
             "print(' '.join(sorted({d for t in new for d in owners.get(t, ())})))\n"
         )
         root = Path(__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
-        env["PYTHONPATH"] = str(root / "src")
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -247,6 +245,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"digest: no store file at {path}\n"
+
+    def test_digest_refuses_a_foreign_line(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        path.write_text("garbage\n")
+        assert main(["digest", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"digest: {path}, line 1: not a chunk record\n"
+        )
+
+    def test_merge_reports_a_foreign_line(self, tmp_path, capsys):
+        shard = tmp_path / "s.shard-0.jsonl"
+        shard.write_text('{"x": 1}\n')
+        assert main(["merge", "--store", str(tmp_path / "s.jsonl")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"merge failed: {shard}, line 1: not a chunk record\n"
+        )
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_resume_refuses_a_foreign_line(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"x": 1}\n')
+        assert main(
+            ["run", "E8", "--quick", "--store", str(path), "--resume"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"run: {path}, line 1: not a chunk record\n"
+        assert path.read_text() == '{"x": 1}\n'
 
 
 class TestServeFlags:

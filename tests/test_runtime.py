@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StoreError
 from repro.generators.suites import GridCell
 from repro.runtime import (
     ResultStore,
@@ -24,6 +26,7 @@ from repro.runtime import (
     canonical_dumps,
     canonical_loads,
     canonical_payload,
+    merge_shard_stores,
     run_sweep,
 )
 from repro.runtime import store as store_module
@@ -112,9 +115,9 @@ class TestResultStore:
 
 
 class TestLoadRepairsTail:
-    """Satellite fix: ``load_records`` repairs the tail before reading,
-    so *every* reader (resume, shard merge, digest) heals a killed
-    store instead of relying on the next append to do it."""
+    """Every reader (resume, shard merge, digest) keeps a killed store's
+    valid unterminated last record and skips a torn fragment without
+    writing; a resume heals the file on disk before it appends."""
 
     RECORD = {
         "experiment": "RT", "label": "x", "n": 2, "m": 2,
@@ -123,23 +126,30 @@ class TestLoadRepairsTail:
 
     def test_unterminated_valid_tail_is_kept_and_healed(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        store = ResultStore(path)
-        store.append(self.RECORD)
-        store.append({**self.RECORD, "rep_lo": 4, "rep_hi": 8})
+        spec = _spec()
+        run_sweep(spec, batch_size=2, store=path)
         healthy = path.read_bytes()
-        path.write_bytes(healthy.rstrip(b"\n"))  # kill between record and \n
-        records = store.load_records()
-        assert len(records) == 2  # the last record is not dropped
-        assert path.read_bytes() == healthy  # and the file is healed
+        damaged = healthy.rstrip(b"\n")
+        path.write_bytes(damaged)  # kill between record and \n
+        records = ResultStore(path).load_records()
+        assert len(records) == 7  # the last record is not dropped
+        assert path.read_bytes() == damaged  # reading never writes
+        resumed = run_sweep(spec, batch_size=2, store=path, resume=True)
+        assert resumed.computed_chunks == 0
+        assert path.read_bytes() == healthy  # the resume heals the file
 
     def test_torn_fragment_is_dropped_and_truncated(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        store = ResultStore(path)
-        store.append(self.RECORD)
+        spec = _spec()
+        run_sweep(spec, batch_size=2, store=path)
         healthy = path.read_bytes()
         with path.open("ab") as fh:
             fh.write(b'{"experiment": "RT", "label"')  # kill mid-write
-        assert len(store.load_records()) == 1
+        torn = path.read_bytes()
+        assert len(ResultStore(path).load_records()) == 7
+        assert path.read_bytes() == torn  # reading never writes
+        resumed = run_sweep(spec, batch_size=2, store=path, resume=True)
+        assert resumed.computed_chunks == 0
         assert path.read_bytes() == healthy  # fragment truncated away
 
     def test_read_only_store_is_still_readable(self, tmp_path, monkeypatch):
@@ -157,6 +167,100 @@ class TestLoadRepairsTail:
         monkeypatch.setattr(ResultStore, "repair_tail", refuse_repair)
         assert len(store.load_records()) == 1
         assert path.read_bytes() == damaged  # no healing attempted
+
+    def test_healthy_read_only_store_resumes(self, tmp_path, monkeypatch):
+        """A resume opens a store for writing only to heal its tail, so
+        a healthy read-only store (archived artifact) still resumes."""
+        path = tmp_path / "s.jsonl"
+        run_sweep(_spec(), batch_size=2, store=path)
+        real_open = Path.open
+
+        def read_only(self, mode="r", *args, **kwargs):
+            if self == path and mode not in ("r", "rb"):
+                raise PermissionError("read-only filesystem")
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", read_only)
+        resumed = run_sweep(_spec(), batch_size=2, store=path, resume=True)
+        assert resumed.computed_chunks == 0
+
+
+class TestReadersNeverWrite:
+    """``digest`` and ``merge`` read a torn store without touching it."""
+
+    @pytest.fixture(params=["unterminated", "torn"])
+    def damaged_store(self, request, tmp_path):
+        path = tmp_path / "s.shard-0.jsonl"
+        run_sweep(_spec(), batch_size=2, store=path)
+        healthy = path.read_bytes()
+        if request.param == "unterminated":
+            path.write_bytes(healthy.rstrip(b"\n"))
+        else:
+            path.write_bytes(healthy + b'{"experiment": "RT", "lab')
+        return path, healthy
+
+    def test_digest_leaves_bytes_unchanged(self, damaged_store):
+        path, healthy = damaged_store
+        damaged = path.read_bytes()
+        digest = ResultStore(path).canonical_digest()
+        assert path.read_bytes() == damaged
+        path.write_bytes(healthy)
+        assert ResultStore(path).canonical_digest() == digest
+
+    def test_merge_leaves_bytes_unchanged(self, damaged_store, tmp_path):
+        path, healthy = damaged_store
+        damaged = path.read_bytes()
+        merged = merge_shard_stores([path], tmp_path / "s.jsonl")
+        assert path.read_bytes() == damaged
+        assert merged.records == 7
+        assert merged.path.read_bytes() == healthy
+
+
+class TestForeignLines:
+    """A non-blank line that is not a chunk record is refused by every
+    reader, naming the file and the line, unless it is the unterminated
+    final line a kill mid-write leaves."""
+
+    FOREIGN = [
+        b"garbage",
+        b'{"x": 1}',
+        b"[1, 2]",
+        b'{"experiment": "RT", "label": "x", "n": 2, "m": 2, '
+        b'"rep_lo": 0, "rep_hi": 4}',  # no payload
+        b'{"experiment": "RT", "label": "x", "n": "two", "m": 2, '
+        b'"rep_lo": 0, "rep_hi": 4, "payload": 1}',
+        b"\xff\xfe",
+    ]
+
+    @staticmethod
+    def _store_with(tmp_path, foreign, *, at):
+        """A 7-chunk store with *foreign* inserted as line *at* (1-based)."""
+        path = tmp_path / "s.jsonl"
+        run_sweep(_spec(), batch_size=2, store=path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(at - 1, foreign + b"\n")
+        path.write_bytes(b"".join(lines))
+        return path
+
+    @pytest.mark.parametrize("foreign", FOREIGN)
+    @pytest.mark.parametrize("at", [1, 4, 8])
+    def test_iter_records_names_file_and_line(self, tmp_path, foreign, at):
+        path = self._store_with(tmp_path, foreign, at=at)
+        with pytest.raises(StoreError) as excinfo:
+            ResultStore(path).load_records()
+        assert str(excinfo.value) == f"{path}, line {at}: not a chunk record"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self._store_with(tmp_path, b"  \t", at=3)
+        assert len(ResultStore(path).load_records()) == 7
+
+    def test_resume_refuses_and_appends_nothing(self, tmp_path):
+        path = self._store_with(tmp_path, b'{"x": 1}', at=3)
+        path.write_bytes(path.read_bytes()[:-1])  # an unterminated tail too
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match="line 3: not a chunk record"):
+            run_sweep(_spec(), batch_size=2, store=path, resume=True)
+        assert path.read_bytes() == before
 
 
 class TestScheduler:
