@@ -12,17 +12,23 @@ Measures the E13 solver load two ways:
   batch-mates — the tier-1 invariance property pins this), so the
   comparison isolates pure batching leverage, not algorithmic drift.
 
-The >= 5x gate runs at an E13-representative width; it measured
-9.4-9.7x on a 2-vCPU Xeon (7.2-7.4x while finished games still rode
-along in the NumPy loop's working tensors). Its timings land in
-``BENCH_trajectory.json`` so the solver's performance history is
-tracked per commit.
+Both sides run :data:`~repro.batch.fixpoint.POLISH_ROUND` rounds and
+then the best-response polish (one lockstep dynamics call per solve),
+so the ratio still measures batching alone. The >= 5x gate runs at an
+E13-representative width; with the polish it measured 26.7-27.3x on a
+2-vCPU Xeon (9.4-9.7x when every game iterated to convergence, 7.2-7.4x
+while finished games still rode along in the NumPy loop's working
+tensors). Its timings land in ``BENCH_trajectory.json`` so the
+solver's performance history is tracked per commit.
 
-Two more benches time the windows where finished games matter: a
-64-game uniform-beliefs window whose median game converges in 51
-rounds while one stalls at round 1,057, and E13's slowest chunk, the
-uniform ``(100, 10)`` pair (263 and 235 rounds). They assert outcomes
-and round counts, not time.
+Two more benches time the windows where finished games matter, and
+assert outcomes and round counts, not time: a 64-game uniform-beliefs
+window, and E13's slowest chunk for the round loop, the uniform
+``(100, 10)`` pair. The polish answers every game of both at round 16.
+The round loop alone keeps its own bench on the same window, where its
+median game converges in 51 rounds while one stalls at round 1,057, so
+the loop's compaction of finished games stays covered. A single
+``(300, 30)`` game shows the polish certifying far past E13's widths.
 """
 
 from __future__ import annotations
@@ -32,7 +38,17 @@ import pytest
 from _timing import _timed
 
 from repro.batch.container import GameBatch
-from repro.batch.fixpoint import batch_fixpoint_mixed_nash
+from repro.batch.fixpoint import (
+    DEFAULT_BETA_MAX,
+    DEFAULT_ETA,
+    DEFAULT_MAX_ROUNDS,
+    DEFAULT_STALL_ROUNDS,
+    DEFAULT_TOL,
+    POLISH_ROUND,
+    STALL_RTOL,
+    _generic_fixpoint_loop,
+    batch_fixpoint_mixed_nash,
+)
 from repro.experiments.fixpoint_tier import e13_specs
 from repro.util.rng import stable_seed
 
@@ -115,18 +131,38 @@ def _window() -> GameBatch:
 
 def test_fixpoint_window_with_straggler(benchmark):
     """A 64-game uniform-beliefs window, the size of a full service
-    ``fixpoint`` batch: the median game converges in 51 rounds, one
-    game stalls at round 1,057. Finished games leave the working
-    tensors, so the tail costs what the straggler costs."""
+    ``fixpoint`` batch: every game is polished at round 16, including
+    the one the round loop alone stalls on."""
     batch = _window()
     result = benchmark(lambda: batched_solve(batch))
-    assert int(np.median(result.rounds)) == 51
-    assert int(result.converged.sum()) == WINDOW_GAMES - 1
-    assert result.rounds[result.stalled].tolist() == [1057]
+    assert int(np.median(result.rounds)) == POLISH_ROUND
+    assert int(result.converged.sum()) == WINDOW_GAMES
+    assert bool(result.polished.all()) and bool(result.certified.all())
+    assert result.rounds[result.stalled].tolist() == []
+
+
+def test_fixpoint_loop_window_with_straggler(benchmark):
+    """The round loop alone on the same window: the median game
+    converges in 51 rounds, one game stalls at round 1,057. Finished
+    games leave the working tensors, so the tail costs what the
+    straggler costs."""
+    batch = _window()
+    log2_beta_max = DEFAULT_BETA_MAX.bit_length() - 1
+    args = (DEFAULT_TOL, DEFAULT_ETA, log2_beta_max, DEFAULT_MAX_ROUNDS,
+            DEFAULT_STALL_ROUNDS, STALL_RTOL)
+    _, rounds, _, converged, stalled = benchmark(
+        lambda: _generic_fixpoint_loop(
+            batch.weights, batch.capacities, batch.initial_traffic, *args
+        )
+    )
+    assert int(np.median(rounds)) == 51
+    assert int(converged.sum()) == WINDOW_GAMES - 1
+    assert rounds[stalled].tolist() == [1057]
 
 
 def test_fixpoint_e13_uniform_widest_chunk(benchmark):
-    """E13's slowest chunk: the uniform-beliefs ``(100, 10)`` pair."""
+    """E13's widest chunk: the uniform-beliefs ``(100, 10)`` pair (263
+    and 235 rounds in the round loop alone)."""
     _, uniform = e13_specs(quick=False)
     chunks, _ = uniform.chunks()
     (chunk,) = [c for c in chunks if (c.num_users, c.num_links) == (100, 10)]
@@ -135,7 +171,15 @@ def test_fixpoint_e13_uniform_widest_chunk(benchmark):
     )
     result = benchmark(lambda: batched_solve(batch))
     assert bool(result.converged.all())
-    assert result.rounds.tolist() == [263, 235]
+    assert result.rounds.tolist() == [POLISH_ROUND, POLISH_ROUND]
+
+
+def test_fixpoint_single_wide_game(benchmark):
+    """One ``(300, 30)`` game: polished and certified at round 16."""
+    n, m = 300, 30
+    batch = GameBatch.from_seeds([stable_seed(LABEL, n, m, 0)], n, m)
+    result = benchmark(lambda: batched_solve(batch))
+    assert bool(result.polished[0]) and bool(result.certified[0])
 
 
 @pytest.mark.parametrize(("n", "m"), [(32, 6), (64, 8)])

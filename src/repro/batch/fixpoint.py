@@ -91,15 +91,41 @@ bit for bit — over users for the traffic rebuild, over links for each
 row's normaliser. ``tests/fixpoint_oracle.py`` keeps the masked
 ``(B, n, m)`` loop this one replaced, and the two are held equal bit
 for bit.
+
+Best-response polish
+--------------------
+The iteration settles a game's support long before it finishes: past
+the anneal, rounds mostly grind the last off-support mass below
+:data:`~repro.batch.mixed.SUPPORT_ATOL`, and in the E13 families the
+profile it ends on is pure. So when the budget allows more than
+:data:`POLISH_ROUND` rounds and the games have ``n, m >= 2``, the
+solver runs the round loop for :data:`POLISH_ROUND` rounds only (the
+last eight at full sharpness, with the default ``beta_max``), snaps
+every row of each game still running to its argmax, and runs
+:func:`~repro.batch.dynamics.batch_best_response_dynamics` from there,
+at the solver's ``tol``, for at most :data:`POLISH_STEPS_PER_USER`
+moves per user. A game is accepted only if the dynamics converged *and*
+the round loop's own residual on the one-hot profile is ``<= tol``
+(:func:`_round_state`, the one residual formula both paths use); it
+returns that profile with ``rounds == POLISH_ROUND`` and ``polished``
+True. Every other game still running replays through the round loop
+from round 0 at the full budget — a longer budget replays a shorter one
+exactly — so it ends bit-identical to a solve without the polish.
+Games that converge or stall within :data:`POLISH_ROUND` rounds, and
+every solve with a budget of at most :data:`POLISH_ROUND` rounds, never
+reach the polish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.batch.container import GameBatch
+from repro.batch.dynamics import batch_best_response_dynamics
 from repro.batch.mixed import SUPPORT_ATOL, batch_is_mixed_nash
 from repro.errors import DimensionError, ModelError
 
@@ -110,6 +136,8 @@ __all__ = [
     "DEFAULT_MAX_ROUNDS",
     "DEFAULT_STALL_ROUNDS",
     "DEFAULT_TOL",
+    "POLISH_ROUND",
+    "POLISH_STEPS_PER_USER",
     "BatchFixpointResult",
     "batch_fixpoint_mixed_nash",
 ]
@@ -141,9 +169,26 @@ DEFAULT_STALL_ROUNDS = 1000
 #: Relative improvement that resets the stall window.
 STALL_RTOL = 1e-3
 
-#: The parameters of :func:`_generic_fixpoint_loop`: ``(tol, eta,
-#: log2_beta_max, max_rounds, stall_rounds, stall_rtol)``.
-_LoopArgs = tuple[float, float, int, int, int, float]
+#: Round after which the games still running are snapped and polished
+#: by best response (module notes). ``beta`` reaches the default
+#: ``beta_max`` at round 8, so this is 8 rounds at full sharpness; at
+#: round 10 a ``(100, 10)`` E13 game needed 157 best-response steps, at
+#: round 16 no E13 game needs more than 5.
+POLISH_ROUND = 16
+
+#: Best-response moves the polish may make, per user of the game.
+POLISH_STEPS_PER_USER = 1
+
+
+class _LoopArgs(NamedTuple):
+    """The parameters of :func:`_generic_fixpoint_loop`, in its order."""
+
+    tol: float
+    eta: float
+    log2_beta_max: int
+    max_rounds: int
+    stall_rounds: int
+    stall_rtol: float
 
 
 @dataclass(frozen=True)
@@ -154,13 +199,16 @@ class BatchFixpointResult:
     ----------
     probabilities:
         ``(B, n, m)`` row-stochastic profiles — the solver state at
-        termination for every game, converged or not.
+        termination for every game, converged or not; one-hot rows for
+        a polished game.
     residuals:
         ``(B,)`` last supported-link excess-latency residual measured
-        while the game was still active (``<= tol`` iff converged).
+        while the game was still active, or on the polished one-hot
+        profile (``<= tol`` iff converged).
     rounds:
         ``(B,)`` int64 — update rounds each game consumed before
-        converging or being flagged.
+        converging or being flagged; :data:`POLISH_ROUND` for a
+        polished game (its best-response steps are not rounds).
     converged:
         ``(B,)`` bool — residual reached *tol* within the budgets.
     stalled:
@@ -172,6 +220,9 @@ class BatchFixpointResult:
         the returned tensors. The solver's contract is
         ``converged implies certified``; a profile with ``certified``
         False is explicitly *not* an equilibrium claim.
+    polished:
+        ``(B,)`` bool — the best-response polish answered this game
+        (module notes); False where the round loop did.
     """
 
     probabilities: np.ndarray
@@ -180,6 +231,7 @@ class BatchFixpointResult:
     converged: np.ndarray
     stalled: np.ndarray
     certified: np.ndarray
+    polished: np.ndarray
 
 
 def _validated(
@@ -250,7 +302,7 @@ def _validated(
             raise ModelError(f"{name} must be finite and >= 0, got {bound}")
     if not 0.0 <= stall_rtol < 1.0:
         raise ModelError(f"stall_rtol must lie in [0, 1), got {stall_rtol}")
-    args = (
+    args = _LoopArgs(
         float(tol),
         float(eta),
         int(beta_max).bit_length() - 1,
@@ -259,6 +311,59 @@ def _validated(
         float(stall_rtol),
     )
     return w, caps, t, args
+
+
+def _user_major(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(wu, c)``: weights broadcast over links and capacities, both
+    user-major ``(n, B, m)``."""
+    m = caps.shape[2]
+    wu = np.repeat(w.T[:, :, None], m, axis=2)
+    return wu, np.ascontiguousarray(caps.transpose(1, 0, 2))
+
+
+def _round_state(
+    p: np.ndarray, wu: np.ndarray, c: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-of-round state of user-major ``(n, B', m)`` rows *p*:
+    ``(r, w_link, base)`` — each game's residual (module notes), its
+    link traffic rebuilt from scratch, and each user's ``(1 - row) w_u``.
+
+    The traffic sums users in index order (the bit-parity accumulation
+    contract: a sequential scan, and every term is ``>= +0.0``, so it
+    equals the sum started from ``0.0``).
+    """
+    w_link = np.add.accumulate(p * wu, axis=0)[-1]
+    base = (1.0 - p) * wu
+    lat = (base + (t + w_link)) / c
+    mins = np.minimum.reduce(lat, axis=-1)[..., None]
+    excess = (lat - mins) / np.maximum(mins, 1.0)
+    r = np.maximum.reduce(np.where(p > SUPPORT_ATOL, excess, 0.0), axis=(0, 2))
+    return r, w_link, base
+
+
+def _polish(
+    w: np.ndarray, caps: np.ndarray, t: np.ndarray, p: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Snap each game's rows *p* to their argmax and finish by best
+    response: ``(accepted, one_hot, residuals)``.
+
+    A game is accepted iff the dynamics converged within
+    :data:`POLISH_STEPS_PER_USER` moves per user and the round loop's
+    residual on the resulting one-hot profile is ``<= tol``.
+    """
+    b, n, m = caps.shape
+    dynamics = batch_best_response_dynamics(
+        GameBatch(w, caps, initial_traffic=t),
+        np.argmax(p, axis=-1),
+        tol=tol,
+        # The dynamics spend a step on the iteration that finds no
+        # mover: the ``+ 1`` lets a game that uses every move confirm.
+        max_steps=POLISH_STEPS_PER_USER * n + 1,
+    )
+    one_hot = np.zeros((b, n, m))
+    np.put_along_axis(one_hot, dynamics.profiles[..., None], 1.0, axis=-1)
+    r, _, _ = _round_state(one_hot.transpose(1, 0, 2), *_user_major(w, caps), t)
+    return dynamics.converged & (r <= tol), one_hot, r
 
 
 def _generic_fixpoint_loop(
@@ -289,23 +394,14 @@ def _generic_fixpoint_loop(
     # scalars are 0-d arrays for the same reason.
     live = np.arange(b)
     p = np.full((n, b, m), 1.0 / m)
-    wu = np.repeat(w.T[:, :, None], m, axis=2)
-    c = np.ascontiguousarray(caps.transpose(1, 0, 2))
+    wu, c = _user_major(w, caps)
     best = np.full(b, np.inf)
     since = np.zeros(b, dtype=np.int64)
     damping = np.array(eta)
     log2beta = 0
     for k in range(max_rounds + 1):
-        # Rebuild link traffic from scratch, users in index order (the
-        # bit-parity accumulation contract: a sequential scan, and every
-        # term is >= +0.0, so it equals the sum started from 0.0), and
-        # check the residual.
-        w_link = np.add.accumulate(p * wu, axis=0)[-1]
-        base = (1.0 - p) * wu
-        lat = (base + (t + w_link)) / c
-        mins = np.minimum.reduce(lat, axis=-1)[..., None]
-        excess = (lat - mins) / np.maximum(mins, 1.0)
-        r = np.maximum.reduce(np.where(p > SUPPORT_ATOL, excess, 0.0), axis=(0, 2))
+        # Rebuild link traffic from scratch and check the residual.
+        r, w_link, base = _round_state(p, wu, c, t)
         done = r <= tol
         improved = r < best * (1.0 - stall_rtol)
         best = np.where(improved, r, best)
@@ -377,13 +473,16 @@ def batch_fixpoint_mixed_nash(
 
     Runs the annealed smoothed best-response iteration (module notes)
     until every game converges to residual *tol*, stalls, or exhausts
-    *max_rounds*, then certifies the returned tensors through
+    *max_rounds* — with a budget past :data:`POLISH_ROUND`, finishing
+    the games still running at that round by the best-response polish
+    where it certifies — then certifies the returned tensors through
     :func:`~repro.batch.mixed.batch_is_mixed_nash` at *certify_tol*.
     Per-game failures are masks on the result, never exceptions.
 
     Determinism: the trajectory of game ``b`` is a pure function of
     that game's reduced form and the solver parameters — independent of
-    its batch-mates, batch order and padding.
+    its batch-mates, batch order and padding. The best-response engine
+    keeps that per game, so the polish does too.
 
     *beta_max* must be a power of two (the anneal doubles up to it and
     the exponentiation is by repeated squaring). Input outside the
@@ -403,7 +502,34 @@ def batch_fixpoint_mixed_nash(
         stall_rtol=stall_rtol,
         certify_tol=certify_tol,
     )
-    p, rounds, residuals, converged, stalled = _generic_fixpoint_loop(w, caps, t, *args)
+    b, n, m = caps.shape
+    polished = np.zeros(b, dtype=bool)
+    if args.max_rounds <= POLISH_ROUND or n < 2 or m < 2:
+        outputs = _generic_fixpoint_loop(w, caps, t, *args)
+    else:
+        outputs = _generic_fixpoint_loop(
+            w, caps, t, *args._replace(max_rounds=POLISH_ROUND)
+        )
+        p, _, residuals, converged, stalled = outputs
+        running = np.flatnonzero(~converged & ~stalled)
+        if running.size:
+            accepted, one_hot, r = _polish(
+                w[running], caps[running], t[running], p[running], args.tol
+            )
+            done = running[accepted]
+            p[done] = one_hot[accepted]
+            residuals[done] = r[accepted]
+            converged[done] = True
+            polished[done] = True
+            # The rest replay from round 0 at the full budget, through
+            # the loop rather than this function, so a traced solve
+            # counts each game once.
+            rest = running[~accepted]
+            if rest.size:
+                replay = _generic_fixpoint_loop(w[rest], caps[rest], t[rest], *args)
+                for out, part in zip(outputs, replay):
+                    out[rest] = part
+    p, rounds, residuals, converged, stalled = outputs
     certified = batch_is_mixed_nash(p, w, caps, t, tol=certify_tol)
     return BatchFixpointResult(
         probabilities=p,
@@ -412,4 +538,5 @@ def batch_fixpoint_mixed_nash(
         converged=converged,
         stalled=stalled,
         certified=np.asarray(certified, dtype=bool),
+        polished=polished,
     )

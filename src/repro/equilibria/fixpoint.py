@@ -3,9 +3,10 @@
 The ``B = 1`` view of :func:`repro.batch.fixpoint.batch_fixpoint_mixed_nash`,
 living next to :mod:`repro.equilibria.support_enum` as its
 beyond-enumeration sibling: where enumeration walks ``(2^m - 1)^n``
-supports, the fixed-point iteration converges in a few hundred
-``O(n m)`` rounds, so games with tens of users and links stay solvable.
-The price is completeness — the solver returns *one* certified
+supports, the fixed-point iteration settles a game's support in a few
+``O(n m)`` rounds and a best-response polish finishes it (see
+:mod:`repro.batch.fixpoint`), so games with hundreds of users and tens
+of links stay solvable. The price is completeness — the solver returns *one* certified
 equilibrium (support enumeration returns all of them), and a game may
 fail to converge, which here becomes a
 :class:`~repro.errors.ConvergenceError` instead of a mask.
@@ -38,14 +39,18 @@ class FixpointSolution:
     ``profile`` is the certified equilibrium (a validated
     :class:`~repro.model.profiles.MixedProfile`); ``residual`` the final
     supported-link excess latency; ``rounds`` the update rounds
-    consumed; ``certified`` the oracle verdict at
-    :data:`~repro.batch.fixpoint.CERT_TOL` on the raw solver tensor.
+    consumed (:data:`~repro.batch.fixpoint.POLISH_ROUND` when
+    ``polished``); ``certified`` the oracle verdict at
+    :data:`~repro.batch.fixpoint.CERT_TOL` on the raw solver tensor;
+    ``polished`` whether the best-response polish, not the round loop,
+    found the profile (then a pure one).
     """
 
     profile: MixedProfile
     residual: float
     rounds: int
     certified: bool
+    polished: bool
 
 
 def fixpoint_mixed_nash(
@@ -90,4 +95,5 @@ def fixpoint_mixed_nash(
         residual=float(result.residuals[0]),
         rounds=int(result.rounds[0]),
         certified=bool(result.certified[0]),
+        polished=bool(result.polished[0]),
     )

@@ -18,6 +18,18 @@ verifies the two things the paper still predicts out there:
   widths where enumerating "every equilibrium" is impossible, so the
   solver's one certified equilibrium stands in for the census.
 
+What was found is reported, not assumed: each cell counts the certified
+profiles that are pure (every user's support a single link) and the
+games the solver's best-response polish answered. Past
+:data:`~repro.batch.fixpoint.POLISH_ROUND` rounds the solver snaps the
+games still running to their argmax and finishes them by best response,
+so a polished game counts :data:`~repro.batch.fixpoint.POLISH_ROUND`
+rounds and "mean rounds" reads that value for a cell the polish
+answered throughout. The title says "mixed equilibria"; the ``pure``
+column says which kind was found (on the published grids, every
+certified equilibrium is pure). A resume refuses a store written before
+these two counts existed (its payloads have seven fields).
+
 The sweep runs two seeded families because interiority is
 width-sensitive: general heterogeneous-belief draws essentially never
 admit an interior fully mixed point past a dozen users (the closed
@@ -44,9 +56,11 @@ import numpy as np
 from repro.batch.container import GameBatch
 from repro.batch.fixpoint import batch_fixpoint_mixed_nash
 from repro.batch.mixed import (
+    SUPPORT_ATOL,
     batch_fully_mixed_candidate,
     batch_min_expected_latencies,
 )
+from repro.errors import StoreError
 from repro.experiments.base import ExperimentResult
 from repro.generators.suites import GridCell
 from repro.runtime import ResultStore, SweepSpec, run_sweep
@@ -60,17 +74,27 @@ __all__ = ["run_e13", "e13_specs"]
 _DOMINANCE_RTOL = 1e-7
 
 
-def _solve_chunk_batch(
-    batch: GameBatch,
-) -> tuple[int, int, int, int, int, float, int]:
-    """``(games, converged, certified, dominance checked, violations,
-    worst residual, total rounds)`` for one stacked chunk."""
+#: One chunk's payload: ``(games, converged, certified, dominance
+#: checked, violations, worst residual, total rounds, pure, polished)``.
+_Payload = tuple[int, int, int, int, int, float, int, int, int]
+
+#: The length of a :data:`_Payload`. Stores written before E13 counted
+#: pure and polished games hold 7-field payloads.
+_PAYLOAD_FIELDS = 9
+
+
+def _solve_chunk_batch(batch: GameBatch) -> _Payload:
+    """The :data:`_Payload` of one stacked chunk; ``pure`` counts the
+    certified profiles whose every row has a single supported link."""
     result = batch_fixpoint_mixed_nash(
         batch.weights, batch.capacities, batch.initial_traffic
     )
     fm = batch_fully_mixed_candidate(
         batch.weights, batch.capacities, batch.initial_traffic
     )
+    single_link = (
+        np.count_nonzero(result.probabilities > SUPPORT_ATOL, axis=-1) == 1
+    ).all(axis=-1)
     comparable = np.flatnonzero(fm.exists & result.converged)
     violations = 0
     if comparable.size:
@@ -93,21 +117,19 @@ def _solve_chunk_batch(
         violations,
         float(result.residuals[result.converged].max(initial=0.0)),
         int(result.rounds.sum()),
+        int(np.count_nonzero(result.certified & single_link)),
+        int(result.polished.sum()),
     )
 
 
-def _examine_e13_chunk(
-    chunk: ReplicationChunk,
-) -> tuple[int, int, int, int, int, float, int]:
+def _examine_e13_chunk(chunk: ReplicationChunk) -> _Payload:
     """The general heterogeneous-belief family (certification leg)."""
     return _solve_chunk_batch(
         GameBatch.from_seeds(chunk.seeds(), chunk.num_users, chunk.num_links)
     )
 
 
-def _examine_e13_uniform_chunk(
-    chunk: ReplicationChunk,
-) -> tuple[int, int, int, int, int, float, int]:
+def _examine_e13_uniform_chunk(chunk: ReplicationChunk) -> _Payload:
     """The uniform-beliefs family (interior FMNE — dominance leg).
 
     Drawn *with* initial traffic: without it the equiprobable start is
@@ -158,7 +180,8 @@ def run_e13(
     general_spec, uniform_spec = e13_specs(quick=quick)
     table = Table(
         ["beliefs", "n", "m", "instances", "converged", "certified",
-         "dominance", "violations", "worst residual", "mean rounds"],
+         "pure", "polished", "dominance", "violations", "worst residual",
+         "mean rounds"],
         title="E13 — fixed-point solver tier (beyond enumeration)",
     )
     all_ok = True
@@ -170,21 +193,26 @@ def run_e13(
             spec, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
             resume=resume,
         )
-        totals = [[0, 0, 0, 0, 0, 0.0, 0] for _ in spec.cells]
+        totals = [[0, 0, 0, 0, 0, 0.0, 0, 0, 0] for _ in spec.cells]
         for cell_index, payload in zip(
             sweep.cell_of_chunk, sweep.chunk_payloads
         ):
-            games, conv, cert, checked, bad, residual, rounds = payload
+            if len(payload) != _PAYLOAD_FIELDS:
+                # Summed in, an older record would leave this cell's
+                # pure and polished counts short without a word.
+                raise StoreError(
+                    f"an E13 chunk payload resumed from the store has "
+                    f"{len(payload)} fields, not {_PAYLOAD_FIELDS}: it was "
+                    f"written before E13 counted pure and polished games; "
+                    f"start a fresh store"
+                )
             cell = totals[cell_index]
-            cell[0] += games
-            cell[1] += conv
-            cell[2] += cert
-            cell[3] += checked
-            cell[4] += bad
-            cell[5] = max(cell[5], residual)
-            cell[6] += rounds
+            for j, value in enumerate(payload):
+                # The worst residual is a maximum; every other field
+                # is a count.
+                cell[j] = max(cell[j], value) if j == 5 else cell[j] + value
         for grid_cell, (
-            games, conv, cert, checked, bad, residual, rounds
+            games, conv, cert, checked, bad, residual, rounds, pure, polished
         ) in zip(spec.cells, totals):
             # Every converged profile must be oracle-certified, and no
             # certified profile may beat the fully mixed point.
@@ -203,6 +231,7 @@ def run_e13(
                     "n": grid_cell.num_users, "m": grid_cell.num_links,
                     "reps": grid_cell.replications, "games": games,
                     "converged": conv, "certified": cert,
+                    "pure": pure, "polished": polished,
                     "dominance_checked": checked, "violations": bad,
                     "worst_residual": residual,
                 }
@@ -210,7 +239,8 @@ def run_e13(
             table.add_row(
                 [family, grid_cell.num_users, grid_cell.num_links,
                  grid_cell.replications, f"{conv}/{games}",
-                 f"{cert}/{conv}", checked, bad, f"{residual:.2e}",
+                 f"{cert}/{conv}", f"{pure}/{cert}", f"{polished}/{games}",
+                 checked, bad, f"{residual:.2e}",
                  round(rounds / max(games, 1))]
             )
     return ExperimentResult(

@@ -545,10 +545,13 @@ def _answer_fixpoint(
     ``certified`` / ``rounds`` / ``residual``) plus the equilibrium
     ``probabilities`` — ``None`` when the iteration did not converge,
     so a client can always tell a certified profile from a flagged
-    failure. Like :func:`_answer_census`, each response holds only
-    JSON-native values and encodes as it stands, and each game's answer
-    is bit-identical to its ``B = 1`` solve — trajectories ignore
-    batch-mates.
+    failure. ``rounds`` counts the solver's update rounds: a game the
+    best-response polish finished reads
+    :data:`~repro.batch.fixpoint.POLISH_ROUND` (the polish's steps are
+    not rounds; the reply does not say which path answered). Like
+    :func:`_answer_census`, each response holds only JSON-native values
+    and encodes as it stands, and each game's answer is bit-identical to
+    its ``B = 1`` solve — trajectories ignore batch-mates.
     """
     result = batch_fixpoint_mixed_nash(
         batch.weights,

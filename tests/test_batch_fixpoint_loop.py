@@ -15,7 +15,8 @@ whole input before the loop runs: a bad shape raises
 
 from __future__ import annotations
 
-import time
+import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ def _args(max_rounds=DEFAULT_MAX_ROUNDS, stall_rounds=DEFAULT_STALL_ROUNDS):
     log2_beta_max = DEFAULT_BETA_MAX.bit_length() - 1
     return (DEFAULT_TOL, DEFAULT_ETA, log2_beta_max, max_rounds,
             stall_rounds, STALL_RTOL)
+
+
+def _line_of(function, text):
+    """The line number of the one line of *function* containing *text*."""
+    source, first = inspect.getsourcelines(function)
+    (offset,) = [i for i, line in enumerate(source) if text in line]
+    return first + offset
 
 
 def _assert_loops_agree(w, caps, t, args):
@@ -134,13 +142,33 @@ class TestFinishingOrder:
         assert rounds[stalled].min() < rounds.max()
 
     def test_empty_batch_returns_at_once(self):
+        """No line of the round loop runs for an empty stack, and the
+        oracle checks its stop condition once. A loop that only stops
+        when a game finishes would spin through all 100,000 rounds."""
         w, caps, t = np.zeros((0, 3)), np.zeros((0, 3, 2)), np.zeros((0, 2))
-        start = time.perf_counter()
-        got = _assert_loops_agree(w, caps, t, _args(max_rounds=100_000))
-        # A loop that only stops when a game finishes would spin through
-        # all 100,000 rounds here: seconds, not microseconds.
-        assert time.perf_counter() - start < 1.0
+        loop_code = _generic_fixpoint_loop.__code__
+        oracle_code = oracle_fixpoint_loop.__code__
+        lines = {loop_code: [], oracle_code: []}
+
+        def tracer(frame, event, arg):
+            if frame.f_code not in lines:
+                return None
+            if event == "line":
+                lines[frame.f_code].append(frame.f_lineno)
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            got = _assert_loops_agree(w, caps, t, _args(max_rounds=100_000))
+        finally:
+            sys.settrace(previous)
         assert got[0].shape == (0, 3, 2)
+        loop_header = _line_of(_generic_fixpoint_loop, "for k in range(")
+        assert lines[loop_code], "the loop was not traced"
+        assert max(lines[loop_code]) < loop_header
+        oracle_header = _line_of(oracle_fixpoint_loop, "for k in range(")
+        assert lines[oracle_code].count(oracle_header) == 1
 
 
 class TestE13Chunks:
