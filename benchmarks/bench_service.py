@@ -24,6 +24,13 @@ batcher sees it, decoding its line and
 ``tests/request_oracle.py`` keeps (decoding with ``json.loads``). It
 reports microseconds per request and asserts only that the digests
 agree.
+
+``test_census_per_stack`` times what every flush pays once per shape:
+one ``solve`` stack answered by ``_answer_census``, at ``B = 1`` (a
+lone request on an idle server) and ``B = 16``, for the four shapes of
+perfbench's serve mix, with its three largest parts beside it. It
+reports microseconds per stack and asserts only that each stack's
+replies equal the same games answered one at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +43,11 @@ from pathlib import Path
 from _timing import _timed
 
 from repro.batch.container import GameBatch
+from repro.batch.mixed import batch_fully_mixed_candidate
+from repro.batch.poa import batch_empirical_ratios
 from repro.runtime.store import canonical_loads
 from repro.service import DynamicBatcher, EquilibriumRequest, solve_requests
+from repro.service.query import _answer_census, _nashify_records
 from repro.util.rng import stable_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -184,4 +194,41 @@ def test_request_front_end(report):
         f"[service] request front end over shapes {SHAPES}: decode + "
         f"from_payload {new:.1f} us/request (NumPy reference parser "
         f"{old:.1f} us)"
+    )
+
+
+def _best_us(fn, repeats: int = 100) -> float:
+    return min(_timed(fn) for _ in range(repeats)) * 1e6
+
+
+def test_census_per_stack(report):
+    """Microseconds per ``_answer_census`` stack; no timing gate."""
+    width = 16
+    rows = []
+    for n, m in SHAPES:
+        seeds = [stable_seed(LABEL, "stack", n, m, i) for i in range(width)]
+        batch = GameBatch.from_seeds(seeds, n, m)
+        digests = [f"{n}x{m}-{i}" for i in range(width)]
+        one_at_a_time = [
+            _answer_census(batch.subbatch([i]), digests[i : i + 1])[0]
+            for i in range(width)
+        ]
+        assert _answer_census(batch, digests) == one_at_a_time
+        for b in (1, width):
+            stack = batch.subbatch(range(b))
+            parts = {
+                "stack": lambda: _answer_census(stack, digests[:b]),
+                "ratios": lambda: batch_empirical_ratios(stack),
+                "nashify": lambda: _nashify_records(stack),
+                "closed form": lambda: batch_fully_mixed_candidate(
+                    stack.weights, stack.capacities, stack.initial_traffic
+                ),
+            }
+            rows.append(
+                f"  ({n}, {m}) B={b:2d}: "
+                + ", ".join(f"{name} {_best_us(fn):.0f}" for name, fn in parts.items())
+            )
+    report.append(
+        "[service] solve census per shape stack, us (best of 100):\n"
+        + "\n".join(rows)
     )

@@ -40,6 +40,7 @@ __all__ = [
     "batch_best_response_dynamics",
     "batch_better_response_dynamics",
     "deviation_slab",
+    "own_link_base",
 ]
 
 BatchSchedule = Literal["round_robin", "max_regret"]
@@ -86,7 +87,7 @@ def _start_profiles(
         sigma = np.array(start, dtype=np.intp, copy=True)
         if sigma.shape != (b, n):
             raise ModelError(f"start must have shape ({b}, {n}), got {sigma.shape}")
-        if np.any(sigma < 0) or np.any(sigma >= m):
+        if (sigma < 0).any() or (sigma >= m).any():
             raise ModelError(f"start entries must lie in [0, {m})")
         return sigma
     if seeds is not None:
@@ -104,34 +105,47 @@ def _start_profiles(
     return rng.integers(0, m, size=(b, n)).astype(np.intp)
 
 
+def own_link_base(num_games: int, num_users: int, num_links: int) -> np.ndarray:
+    """The ``(B, n)`` flat offsets ``b * n * m + i * m`` of each
+    (game, user) row of a ``(B, n, m)`` tensor: adding an assignment
+    gives the flat index of every user's own-link entry."""
+    return (
+        np.arange(num_games)[:, None] * (num_users * num_links)
+        + np.arange(num_users) * num_links
+    )
+
+
 def deviation_slab(
     sigma: np.ndarray,
     weights: np.ndarray,
     capacities: np.ndarray,
     traffic: np.ndarray,
-    rows: np.ndarray,
-    users: np.ndarray,
+    own_base: np.ndarray,
     *,
     loads: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lean ``(A, n, m)`` deviation tensor for the active games.
 
     Semantics of :func:`repro.batch.kernels.batch_deviation_latencies`
     specialised to concrete ``(A, n)`` shapes — loads accumulate user by
     user (bincount order), keeping single-game trajectory parity — with
     the generic broadcasting machinery stripped from the hot loop.
-    *rows*/*users* are caller-held ``arange(B)[:, None]``/``arange(n)[None, :]``
-    index helpers (sliced to the active count internally). A caller that
+    *own_base* is the caller-held :func:`own_link_base` table (sliced to
+    the active count internally). Returns the tensor and the ``(A, n)``
+    flat indices of the own-link entries, where the caller reads each
+    user's current latency (``dev.reshape(-1)[own]``). A caller that
     already holds the ``(A, m)`` full loads (initial traffic included)
     passes them via *loads* to skip the accumulation; the lockstep
     nashifier shares one loads pass per step this way.
     """
     if loads is None:
         loads = _scatter_loads(sigma, weights, capacities.shape[-1], traffic)
+    own = own_base[: sigma.shape[0]] + sigma
     seen = loads[:, None, :] + weights[:, :, None]
-    seen[rows[: sigma.shape[0]], users, sigma] -= weights
+    flat = seen.reshape(-1)
+    flat[own] -= weights
     seen /= capacities
-    return seen
+    return seen, own
 
 
 def _run_batch_dynamics(
@@ -155,7 +169,6 @@ def _run_batch_dynamics(
     m = batch.num_links
     weights, caps, traffic = batch.weights, batch.capacities, batch.initial_traffic
 
-    active = np.ones(b, dtype=bool)
     converged = np.zeros(b, dtype=bool)
     cycled = np.zeros(b, dtype=bool)
     steps = np.zeros(b, dtype=np.int64)
@@ -163,62 +176,60 @@ def _run_batch_dynamics(
     # Profiles hash as exact base-m integer codes when they fit in int64
     # (one matvec per iteration); enormous games fall back to raw bytes.
     radix = np.power(m, np.arange(n), dtype=np.int64) if m**n < 2**63 else None
-    all_rows = np.arange(b)[:, None]
-    user_cols = np.arange(n)[None, :]
+    own_base = own_link_base(b, n, m)
 
+    idx = np.arange(b)  # the games still running, in index order
     iteration = 0
-    while active.any() and iteration < max_steps:
-        idx = np.flatnonzero(active)
+    while idx.size and iteration < max_steps:
+        sig_a = sigma if idx.size == b else sigma[idx]
         # A deterministic schedule revisiting a profile proves a cycle.
         if radix is not None:
-            codes = sigma[idx] @ radix
+            codes = (sig_a @ radix).tolist()
         else:
-            codes = [sigma[g].tobytes() for g in idx]
-        hit_cycle = False
-        for g, key in zip(idx, codes):
-            if key in seen[g]:
-                cycled[g] = True
-                active[g] = False
-                hit_cycle = True
-            else:
-                seen[g].add(key)
-        if hit_cycle:
-            idx = np.flatnonzero(active)
+            codes = [row.tobytes() for row in sig_a]
+        revisited = []
+        for g, key in zip(idx.tolist(), codes):
+            revisited.append(key in seen[g])
+            seen[g].add(key)
+        if any(revisited):
+            hit = np.array(revisited)
+            cycled[idx[hit]] = True
+            idx = idx[~hit]
             if idx.size == 0:
                 break
+            sig_a = sigma[idx]
 
         if idx.size == b:
-            sig_a, w_a, caps_a, traffic_a = sigma, weights, caps, traffic
+            w_a, caps_a, traffic_a = weights, caps, traffic
         else:
-            sig_a, w_a = sigma[idx], weights[idx]
-            caps_a, traffic_a = caps[idx], traffic[idx]
-        dev = deviation_slab(sig_a, w_a, caps_a, traffic_a, all_rows, user_cols)
-        current = dev[all_rows[: idx.size], user_cols, sig_a]
+            w_a, caps_a, traffic_a = weights[idx], caps[idx], traffic[idx]
+        dev, own = deviation_slab(sig_a, w_a, caps_a, traffic_a, own_base)
+        current = dev.reshape(-1)[own]
         scale = np.maximum(current, 1.0)
-        improving = dev.min(axis=-1) < current - tol * scale  # (A, n)
+        best = dev.min(axis=-1)
+        improving = best < current - tol * scale  # (A, n)
         has_mover = improving.any(axis=-1)
 
         if has_mover.all():
-            act, imp, dev_a, cur_a = idx, improving, dev, current
+            imp, dev_a, cur_a, best_a = improving, dev, current, best
         else:
-            done = idx[~has_mover]
-            converged[done] = True
-            active[done] = False
-            if not has_mover.any():
+            converged[idx[~has_mover]] = True
+            idx = idx[has_mover]
+            if idx.size == 0:
                 iteration += 1
                 continue
-            act = idx[has_mover]
             imp = improving[has_mover]
             dev_a = dev[has_mover]
             cur_a = current[has_mover]
+            best_a = best[has_mover]
         if schedule == "round_robin":
             # First improving user == movers.min() of the per-game loop.
             user = np.argmax(imp, axis=1)
         else:  # max_regret
-            regret = np.where(imp, cur_a - dev_a.min(axis=-1), -np.inf)
+            regret = np.where(imp, cur_a - best_a, -np.inf)
             user = np.argmax(regret, axis=1)
 
-        rows = np.arange(act.size)
+        rows = np.arange(idx.size)
         row = dev_a[rows, user]  # (A', m)
         if mode == "best":
             target = np.argmin(row, axis=1)
@@ -228,8 +239,8 @@ def _run_batch_dynamics(
             better = row < (cost - tol * row_scale)[:, None]
             target = np.argmax(better, axis=1)  # first improving link
 
-        sigma[act, user] = target
-        steps[act] += 1
+        sigma[idx, user] = target
+        steps[idx] += 1
         iteration += 1
 
     return BatchDynamicsResult(

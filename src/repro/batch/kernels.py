@@ -35,6 +35,8 @@ identical to the sequential implementation under the same seeds.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import DimensionError, ModelError
@@ -240,23 +242,31 @@ MAX_EXHAUSTIVE_PROFILES = 2_000_000
 #: Per-cache bound on *total* cached elements (~64 MB of float64 each).
 _SWEEP_CACHE_MAX_ELEMENTS = 8_000_000
 _ASSIGNMENT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_ONEHOT_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
+_TABLES_CACHE: dict[tuple[int, int, int, int], "_SweepTables"] = {}
 
 
-def _cache_put(cache: dict, key, value: np.ndarray) -> None:
-    """Insert *value*, FIFO-evicting until total elements stay bounded.
+def _cache_put(cache: dict, key, value) -> None:
+    """Insert *value* (an array or a tuple of arrays), FIFO-evicting
+    until the cache's total element count stays bounded.
 
     Long-lived processes sweep many (n, m) shapes and batch widths
     (distinct widths produce distinct block boundaries), so both the
     entry count and the per-entry size are unbounded a priori; bounding
     total elements caps the caches' memory for the process lifetime.
     """
-    if value.size > _SWEEP_CACHE_MAX_ELEMENTS:
+    size = _entry_size(value)
+    if size > _SWEEP_CACHE_MAX_ELEMENTS:
         return
-    total = sum(v.size for v in cache.values())
-    while cache and total + value.size > _SWEEP_CACHE_MAX_ELEMENTS:
-        total -= cache.pop(next(iter(cache))).size
+    total = sum(map(_entry_size, cache.values()))
+    while cache and total + size > _SWEEP_CACHE_MAX_ELEMENTS:
+        total -= _entry_size(cache.pop(next(iter(cache))))
     cache[key] = value
+
+
+def _entry_size(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.size
+    return sum(array.size for array in value)
 
 
 def enumerate_assignments(num_users: int, num_links: int) -> np.ndarray:
@@ -294,17 +304,66 @@ def _all_assignments(num_users: int, num_links: int) -> np.ndarray:
     return table
 
 
-def _block_onehot(
-    num_users: int, num_links: int, lo: int, hi: int, block: np.ndarray
-) -> np.ndarray:
-    """Memoised one-hot tensor of rows ``[lo, hi)`` of the (n, m) table."""
-    key = (num_users, num_links, lo, hi)
-    onehot = _ONEHOT_CACHE.get(key)
-    if onehot is None:
-        onehot = (block[:, :, None] == np.arange(num_links)).astype(np.float64)
-        onehot.setflags(write=False)
-        _cache_put(_ONEHOT_CACHE, key, onehot)
-    return onehot
+def _memoised(cache: dict, key: tuple | None, build):
+    """``build()``, a tuple of arrays, memoised read-only in *cache*
+    under *key*; never memoised when *key* is ``None``."""
+    value = cache.get(key) if key is not None else None
+    if value is None:
+        value = build()
+        if key is not None:
+            for array in value:
+                array.setflags(write=False)
+            _cache_put(cache, key, value)
+    return value
+
+
+class _SweepTables(NamedTuple):
+    """Gather tables of one ``(P, n)`` block of assignments.
+
+    The sweep reads, for every profile ``p`` and user ``i``, the load of
+    the link ``sigma[p, i]`` and user ``i``'s capacity on it. Flat
+    indices into the ``(P * m)`` loads row and the ``(n * m)`` capacity
+    row turn both reads into one :func:`numpy.take` each, instead of
+    broadcast fancy indexing rebuilt on every call.
+    """
+
+    #: ``(n, P * m)`` float: the block's one-hot rows laid out as the
+    #: loads GEMM's right operand, the C-ordered array
+    #: ``np.tensordot(w, onehot, axes=([1], [1]))`` builds on every call.
+    gemm_operand: np.ndarray
+    #: ``(P, n)``: ``p * m + sigma[p, i]``.
+    load_index: np.ndarray
+    #: ``(P, n)``: ``i * m + sigma[p, i]``.
+    cap_index: np.ndarray
+
+    def onehot_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``(k, n, m)`` one-hot matrices of the block's *rows*."""
+        num_p, n = self.load_index.shape
+        operand = self.gemm_operand.reshape(n, num_p, -1)
+        return operand[:, rows].transpose(1, 0, 2)
+
+
+def _sweep_tables(
+    block: np.ndarray, num_links: int, key: tuple | None = None
+) -> _SweepTables:
+    """The :class:`_SweepTables` of *block*, memoised under *key*.
+
+    Pass ``key=(n, m, lo, hi)`` only for rows ``[lo, hi)`` of the
+    canonical table :func:`_all_assignments` returns: the key names the
+    rows, not their contents.
+    """
+
+    def build() -> _SweepTables:
+        sig = np.asarray(block, dtype=np.intp)
+        num_p, n = sig.shape
+        onehot = (sig[:, :, None] == np.arange(num_links)).astype(np.float64)
+        return _SweepTables(
+            gemm_operand=onehot.transpose(1, 0, 2).reshape(n, num_p * num_links),
+            load_index=sig + (np.arange(num_p) * num_links)[:, None],
+            cap_index=sig + np.arange(n) * num_links,
+        )
+
+    return _memoised(_TABLES_CACHE, key, build)
 
 
 def sweep_pure_nash_mask(
@@ -314,7 +373,7 @@ def sweep_pure_nash_mask(
     initial_traffic: np.ndarray | None = None,
     *,
     tol: float = 1e-9,
-    onehot: np.ndarray | None = None,
+    tables: _SweepTables | None = None,
 ) -> np.ndarray:
     """Nash mask for the profile-sweep structure: ``(B, P)`` verdicts.
 
@@ -323,7 +382,8 @@ def sweep_pure_nash_mask(
     ``initial_traffic (B, m)``). Loads collapse to one GEMM against the
     one-hot assignment tensor, which beats the general scatter path by
     an order of magnitude on enumeration-sized sweeps. The single-game
-    enumerator is the ``B = 1`` view of this kernel.
+    enumerator is the ``B = 1`` view of this kernel. *tables* are the
+    block's :func:`_sweep_tables` (built here when omitted).
     """
     if tol < 0:
         raise ValueError("sweep_pure_nash_mask requires tol >= 0")
@@ -332,22 +392,32 @@ def sweep_pure_nash_mask(
     caps = np.asarray(capacities, dtype=np.float64)  # (B, n, m)
     num_b, num_p = w.shape[0], sig.shape[0]
     n, m = caps.shape[-2], caps.shape[-1]
-    if onehot is None:
-        onehot = (sig[:, :, None] == np.arange(m)).astype(np.float64)  # (P, n, m)
-    loads = np.tensordot(w, onehot, axes=([1], [1]))  # (B, P, m)
+    if tables is None:
+        tables = _sweep_tables(sig, m)
+    loads = np.dot(w, tables.gemm_operand).reshape(num_b, num_p, m)
     if initial_traffic is not None:
         loads += np.asarray(initial_traffic, dtype=np.float64)[:, None, :]
     if num_b * num_p * n * m <= 65_536:
-        # Small sweeps: one shot over the full (B, P, n, m) tensor costs
+        # Small sweeps: one shot over the full deviation tensor costs
         # less than the per-user bookkeeping below. With tol >= 0 the
         # unpatched own-link entry (loads[sig_i] + w_i)/C exceeds the
         # current latency, so it never decides the verdict and the
-        # own-weight subtraction is skipped (here and below).
-        current = np.take_along_axis(loads, sig[None], axis=-1)
-        current = current / caps[:, np.arange(n)[None, :], sig]
+        # own-weight subtraction is skipped (here and below). The
+        # tensor is user-major, (B, n, m, P), so every pass runs along
+        # the profile axis and the verdict is an elementwise "and" of
+        # n * m slabs rather than a reduction over tiny trailing axes.
+        current = np.take(
+            loads.reshape(num_b, num_p * m), tables.load_index.T, axis=1
+        ) / np.take(caps.reshape(num_b, n * m), tables.cap_index.T, axis=1)
+        # current: (B, n, P)
         threshold = current - tol * np.maximum(current, 1.0)
-        dev = (loads[:, :, None, :] + w[:, None, :, None]) / caps[:, None, :, :]
-        return np.all(dev >= threshold[..., None], axis=(-2, -1))
+        dev = (
+            loads.transpose(0, 2, 1)[:, None, :, :] + w[:, :, None, None]
+        ) / caps[:, :, :, None]  # (B, n, m, P)
+        satisfied = dev >= threshold[:, :, None, :]
+        return np.logical_and.reduce(
+            satisfied.reshape(num_b, n * m, num_p), axis=1
+        )
     loads = loads.reshape(num_b * num_p, m)
     # Check users one at a time over the surviving (game, profile) pairs:
     # a profile is NE only if *every* user is satisfied, and a random
@@ -392,7 +462,7 @@ def batch_count_pure_nash(
             batch.capacities,
             batch.initial_traffic,
             tol=tol,
-            onehot=_block_onehot(n, m, lo, hi, sig),
+            tables=_sweep_tables(sig, m, key=(n, m, lo, hi)),
         )
         counts += mask.sum(axis=1)
     return counts
@@ -424,7 +494,7 @@ def batch_exists_pure_nash(
             batch.capacities[open_idx],
             batch.initial_traffic[open_idx],
             tol=tol,
-            onehot=_block_onehot(n, m, lo, hi, sig),
+            tables=_sweep_tables(sig, m, key=(n, m, lo, hi)),
         )
         found[open_idx] = mask.any(axis=1)
     return found

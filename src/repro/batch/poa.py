@@ -30,6 +30,7 @@ accumulation order is not guaranteed to agree in the last ulp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +38,13 @@ from repro.batch.container import GameBatch
 from repro.batch.kernels import (
     MAX_EXHAUSTIVE_PROFILES,
     _all_assignments,
-    _block_onehot,
+    _memoised,
+    _sweep_tables,
     enumerate_assignments,
     sweep_pure_nash_mask,
 )
 from repro.batch.mixed import (
+    BatchFullyMixedResult,
     batch_fully_mixed_candidate,
     batch_min_expected_latencies,
     normalize_rows,
@@ -89,28 +92,112 @@ def batch_all_pure_latencies(
     """Latency tensor for every pure assignment of every game.
 
     Returns ``(assignments, latencies)`` with latencies of shape
-    ``(B, P, n)`` — the stacked counterpart of
-    :func:`repro.model.social.all_pure_costs`, replicating its per-link
-    masked load sums so each ``[b]`` slice is bit-identical.
+    ``(B, P, n)``. :func:`repro.model.social.all_pure_costs` is its
+    ``B = 1`` view.
     """
     n, m = batch.num_users, batch.num_links
     if assignments is None:
         assignments = enumerate_assignments(n, m)
     sig = np.ascontiguousarray(assignments, dtype=np.intp)
-    w = batch.weights
-    num_p = sig.shape[0]
-    loads = np.zeros((len(batch), num_p, m))
-    for link in range(m):
-        loads[:, :, link] = (w[:, None, :] * (sig == link)[None, :, :]).sum(axis=2)
-    loads += batch.initial_traffic[:, None, :]
-    chosen_load = np.take_along_axis(loads, sig[None, :, :], axis=2)
-    chosen_cap = batch.capacities[:, np.arange(n)[None, :], sig]  # (B, P, n)
-    return sig, chosen_load / chosen_cap
+    return sig, _pure_latencies(batch, sig, _link_sets(sig, m))
+
+
+class _LinkSets(NamedTuple):
+    """The sets of users that share a link, over one block of assignments.
+
+    A link's load is a sum over the set of users on it, and a block's
+    ``P * m`` (profile, link) pairs hold at most ``2^n`` distinct sets,
+    so each set's load is taken once and shared by every pair that
+    holds it.
+    """
+
+    #: ``(K, n)`` float 0/1 masks of the distinct sets.
+    user_sets: np.ndarray
+    #: ``(P, n)``: the row of ``user_sets`` on user ``i``'s link in
+    #: profile ``p``.
+    set_index: np.ndarray
+    #: ``(P, n)``: ``i * m + sigma[p, i]``, user ``i``'s capacity on its
+    #: link in a flattened ``(n * m)`` capacity row.
+    cap_index: np.ndarray
+
+
+_LINK_SETS_CACHE: dict[tuple[int, int, int, int], _LinkSets] = {}
+
+
+def _link_sets(
+    block: np.ndarray, num_links: int, key: tuple | None = None
+) -> _LinkSets:
+    """The :class:`_LinkSets` of *block*, memoised under *key* as
+    :func:`~repro.batch.kernels._sweep_tables` memoises its tables."""
+
+    def build() -> _LinkSets:
+        sig = np.asarray(block, dtype=np.intp)
+        num_p, n = sig.shape
+        on_link = sig[:, :, None] == np.arange(num_links)  # (P, n, m)
+        # Each (profile, link) pair's user set as a bit code.
+        codes = (on_link << np.arange(n)[:, None]).sum(axis=1)  # (P, m)
+        distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
+        inverse = inverse.reshape(num_p, num_links)
+        return _LinkSets(
+            user_sets=((distinct[:, None] >> np.arange(n)) & 1).astype(np.float64),
+            set_index=np.take_along_axis(inverse, sig, axis=1),
+            cap_index=sig + np.arange(n) * num_links,
+        )
+
+    return _memoised(_LINK_SETS_CACHE, key, build)
+
+
+def _pure_latencies(
+    batch: GameBatch, block: np.ndarray, sets: _LinkSets
+) -> np.ndarray:
+    """``(B, P, n)`` latencies of the assignment *block*.
+
+    A link's load is the trailing-axis sum of the users' masked weights
+    (``w_i`` on the link, ``0.0`` elsewhere), so the users add in
+    numpy's pairwise order; it is taken once per distinct set and
+    gathered for every (profile, user), and initial traffic is added
+    after the gather, as it was added to each load. ``np.take`` keeps
+    the gathered users contiguous, so a caller's sum over them is
+    pairwise too.
+    """
+    n, m = batch.num_users, batch.num_links
+    set_loads = np.multiply(
+        batch.weights[:, None, :], sets.user_sets, order="C"
+    ).sum(axis=-1)  # (B, K)
+    chosen_load = np.take(set_loads, sets.set_index, axis=1) + np.take(
+        batch.initial_traffic, block, axis=1
+    )
+    chosen_cap = np.take(
+        batch.capacities.reshape(len(batch), n * m), sets.cap_index, axis=1
+    )
+    return chosen_load / chosen_cap
 
 
 #: Profile rows per sweep block — matches the single-game enumerator's
 #: block size, bounding the per-block tensors independently of ``m^n``.
 PROFILE_BLOCK = 65_536
+
+
+def _blocks(n: int, m: int, assignments: np.ndarray | None):
+    """``(block, key)`` per :data:`PROFILE_BLOCK` rows of the assignment
+    table. *key* memoises the canonical table's blocks' tables; it is
+    ``None`` for a caller-supplied table, whose tables are rebuilt."""
+    canonical = _all_assignments(n, m)
+    if assignments is None:
+        assignments = canonical
+    for lo in range(0, assignments.shape[0], PROFILE_BLOCK):
+        hi = min(lo + PROFILE_BLOCK, assignments.shape[0])
+        key = (n, m, lo, hi) if assignments is canonical else None
+        yield assignments[lo:hi], key
+
+
+def _require_exhaustive(batch: GameBatch) -> None:
+    total = batch.num_links**batch.num_users
+    if total > MAX_EXHAUSTIVE_PROFILES:
+        raise ModelError(
+            f"{total} profiles exceed the exhaustive limit "
+            f"({MAX_EXHAUSTIVE_PROFILES})"
+        )
 
 
 def batch_social_optima(
@@ -123,20 +210,20 @@ def batch_social_optima(
     equal :func:`repro.model.social.opt1`/``opt2`` with the exhaustive
     method exactly (a blockwise minimum is the global minimum).
     """
-    total = batch.num_links**batch.num_users
-    if total > MAX_EXHAUSTIVE_PROFILES:
-        raise ModelError(
-            f"{total} assignments exceed the exhaustive limit "
-            f"({MAX_EXHAUSTIVE_PROFILES})"
-        )
-    if assignments is None:
-        assignments = enumerate_assignments(batch.num_users, batch.num_links)
+    _require_exhaustive(batch)
     best1 = np.full(len(batch), np.inf)
     best2 = np.full(len(batch), np.inf)
-    for lo in range(0, assignments.shape[0], PROFILE_BLOCK):
-        _, lat = batch_all_pure_latencies(batch, assignments[lo : lo + PROFILE_BLOCK])
+    m = batch.num_links
+    for block, key in _blocks(batch.num_users, m, assignments):
+        lat = _pure_latencies(batch, block, _link_sets(block, m, key))
         np.minimum(best1, lat.sum(axis=2).min(axis=1), out=best1)
-        np.minimum(best2, lat.max(axis=2).min(axis=1), out=best2)
+        # The max over the few users as one elementwise pass per user:
+        # exact (a maximum does no rounding), and far cheaper than
+        # numpy's per-row reduction loop at census sizes.
+        worst = lat[:, :, 0].copy()
+        for user in range(1, batch.num_users):
+            np.maximum(worst, lat[:, :, user], out=worst)
+        np.minimum(best2, worst.min(axis=1), out=best2)
     return best1, best2
 
 
@@ -173,78 +260,72 @@ def batch_equilibrium_profiles(
     *,
     tol: float = 1e-9,
     assignments: np.ndarray | None = None,
+    fully_mixed: BatchFullyMixedResult | None = None,
 ) -> EquilibriumStack:
     """Every pure NE plus the FMNE (when interior) of every game.
 
     Pure equilibria come from one exhaustive
     :func:`~repro.batch.kernels.sweep_pure_nash_mask` over the whole
     stack (same verdicts as the per-game enumerator); the fully mixed
-    candidates come from one closed-form evaluation. Within a game,
-    pure equilibria appear in assignment-enumeration order followed by
-    the fully mixed point — the order the sequential ``poa_study``
-    evaluated them in.
+    candidates come from one closed-form evaluation, or are
+    *fully_mixed* when the caller already holds this stack's
+    :func:`~repro.batch.mixed.batch_fully_mixed_candidate`. Within a
+    game, pure equilibria appear in assignment-enumeration order
+    followed by the fully mixed point — the order the sequential
+    ``poa_study`` evaluated them in.
     """
+    _require_exhaustive(batch)
     n, m = batch.num_users, batch.num_links
-    total = m**n
-    if total > MAX_EXHAUSTIVE_PROFILES:
-        raise ModelError(
-            f"{total} profiles exceed the exhaustive limit "
-            f"({MAX_EXHAUSTIVE_PROFILES})"
+    if fully_mixed is None:
+        fully_mixed = batch_fully_mixed_candidate(
+            batch.weights, batch.capacities, batch.initial_traffic
         )
-    # The memoised one-hot blocks are keyed by (n, m, lo, hi) alone, so
-    # they are only valid for the canonical memoised assignment table —
-    # caller-supplied tables fall back to rebuilding per block.
-    canonical = assignments is None or assignments is _all_assignments(n, m)
-    if assignments is None:
-        assignments = _all_assignments(n, m)
-    fm = batch_fully_mixed_candidate(
-        batch.weights, batch.capacities, batch.initial_traffic
-    )
+    elif fully_mixed.exists.shape != (len(batch),):
+        raise ModelError(
+            f"fully_mixed covers {fully_mixed.exists.shape} games, "
+            f"the batch holds {len(batch)}"
+        )
 
     # Sweep in profile blocks (bounding the one-hot/GEMM tensors) and
-    # keep only the equilibrium rows — a vanishing fraction of m^n.
+    # keep only the equilibrium rows — a vanishing fraction of m^n —
+    # gathered from the block's one-hot table.
     num_pure = np.zeros(len(batch), dtype=np.int64)
     game_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    for lo in range(0, assignments.shape[0], PROFILE_BLOCK):
-        hi = min(lo + PROFILE_BLOCK, assignments.shape[0])
-        sig = assignments[lo:hi]
+    onehot_parts: list[np.ndarray] = []
+    for block, key in _blocks(n, m, assignments):
+        tables = _sweep_tables(block, m, key)
         mask = sweep_pure_nash_mask(
-            sig,
+            block,
             batch.weights,
             batch.capacities,
             batch.initial_traffic,
             tol=tol,
-            # The campaign sweeps the same few (n, m) cells thousands of
-            # times; the memoised one-hot block is shared with the
-            # pure-NE counting kernels instead of being rebuilt here.
-            onehot=_block_onehot(n, m, lo, hi, sig) if canonical else None,
+            tables=tables,
         )  # (B, block)
         num_pure += mask.sum(axis=1)
         block_game, block_row = np.nonzero(mask)
         game_parts.append(block_game)
-        row_parts.append(block_row + lo)
-    pure_game = np.concatenate(game_parts)
-    pure_row = np.concatenate(row_parts)
-    onehot = np.zeros((pure_game.size, n, m))
-    onehot[np.arange(pure_game.size)[:, None],
-           np.arange(n)[None, :],
-           assignments[pure_row]] = 1.0
+        onehot_parts.append(tables.onehot_rows(block_row))
 
-    fm_games = np.flatnonzero(fm.exists)
-    fm_probs = normalize_rows(fm.probabilities[fm_games])
-
-    game_index = np.concatenate([pure_game, fm_games])
-    probabilities = np.concatenate([onehot, fm_probs]) if fm_games.size else onehot
-    # Stable sort keeps each game's pure NE first, FMNE last — the
-    # sequential evaluation order (irrelevant to the max-reductions
-    # downstream, but it keeps differential tests straightforward).
-    order = np.argsort(game_index, kind="stable")
+    fm_games = np.flatnonzero(fully_mixed.exists)
+    if fm_games.size:
+        game_parts.append(fm_games)
+        onehot_parts.append(
+            normalize_rows(fully_mixed.probabilities[fm_games])
+        )
+    game_index = np.concatenate(game_parts)
+    probabilities = np.concatenate(onehot_parts)
+    if np.any(game_index[1:] < game_index[:-1]):
+        # Stable sort keeps each game's pure NE first, FMNE last — the
+        # sequential evaluation order (irrelevant to the max-reductions
+        # downstream, but it keeps differential tests straightforward).
+        order = np.argsort(game_index, kind="stable")
+        game_index, probabilities = game_index[order], probabilities[order]
     return EquilibriumStack(
-        game_index=game_index[order],
-        probabilities=probabilities[order],
+        game_index=game_index,
+        probabilities=probabilities,
         num_pure=num_pure,
-        fmne_exists=fm.exists,
+        fmne_exists=fully_mixed.exists,
     )
 
 
@@ -265,7 +346,10 @@ class BatchRatioResult:
 
 
 def batch_empirical_ratios(
-    batch: GameBatch, *, tol: float = 1e-9
+    batch: GameBatch,
+    *,
+    tol: float = 1e-9,
+    fully_mixed: BatchFullyMixedResult | None = None,
 ) -> BatchRatioResult:
     """Worst ``(SC1/OPT1, SC2/OPT2)`` over all equilibria of every game.
 
@@ -273,16 +357,10 @@ def batch_empirical_ratios(
     :func:`repro.analysis.poa.empirical_coordination_ratios` with the
     default (exhaustive) equilibrium set: all pure NE plus the fully
     mixed NE when it exists (per Theorems 4.11/4.12 the maximiser).
+    *fully_mixed* is as for :func:`batch_equilibrium_profiles`.
     """
-    total = batch.num_links**batch.num_users
-    if total > MAX_EXHAUSTIVE_PROFILES:
-        raise ModelError(
-            f"{total} profiles exceed the exhaustive limit "
-            f"({MAX_EXHAUSTIVE_PROFILES})"
-        )
-    assignments = _all_assignments(batch.num_users, batch.num_links)
-    stack = batch_equilibrium_profiles(batch, tol=tol, assignments=assignments)
-    o1, o2 = batch_social_optima(batch, assignments)
+    stack = batch_equilibrium_profiles(batch, tol=tol, fully_mixed=fully_mixed)
+    o1, o2 = batch_social_optima(batch)
 
     gidx = stack.game_index
     costs = batch_min_expected_latencies(

@@ -55,7 +55,11 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.batch.container import GameBatch
-from repro.batch.dynamics import batch_best_response_dynamics, deviation_slab
+from repro.batch.dynamics import (
+    batch_best_response_dynamics,
+    deviation_slab,
+    own_link_base,
+)
 from repro.batch.kernels import _all_assignments, _profile_block, _scatter_loads
 from repro.errors import AlgorithmDomainError, ConvergenceError, ModelError, SolverError
 from repro.util.rng import RandomState, as_generator
@@ -209,27 +213,18 @@ def batch_nashify_common_beliefs(
 
     active = np.ones(b, dtype=bool)
     steps = np.zeros(b, dtype=np.int64)
-    all_rows = np.arange(b)[:, None]
-    user_cols = np.arange(n)[None, :]
+    own_base = own_link_base(b, n, m)
 
     iteration = 0
     while active.any() and iteration < max_steps:
         idx = np.flatnonzero(active)
-        a = idx.size
         sig_a = sigma[idx]
         w_a = weights[idx]
         loads = _scatter_loads(sig_a, w_a, m, traffic[idx])
-        dev = deviation_slab(
-            sig_a,
-            w_a,
-            capacities[idx],
-            traffic[idx],
-            all_rows,
-            user_cols,
-            loads=loads,
+        dev, own = deviation_slab(
+            sig_a, w_a, capacities[idx], traffic[idx], own_base, loads=loads
         )
-        rows = np.arange(a)
-        current = dev[rows[:, None], user_cols, sig_a]
+        current = dev.reshape(-1)[own]
         scale = np.maximum(current, 1.0)
         improving = dev.min(axis=-1) < current - 1e-9 * scale  # (A, n)
         has_mover = improving.any(axis=-1)
@@ -299,15 +294,11 @@ def batch_nashify(
     """
     weights, capacities = batch.weights, batch.capacities
     traffic = batch.initial_traffic
-    sigma = _require_start(batch, start)
     m = batch.num_links
-
-    mean_caps = capacities.mean(axis=1)  # (B, m)
-    loads0 = _scatter_loads(sigma, weights, m, traffic)
-    lat0 = _chosen_latencies(sigma, loads0, capacities)
-
+    # The dynamics validate and copy *start*, with _require_start's
+    # refusals, before anything here reads it.
     result = batch_best_response_dynamics(
-        batch, sigma, schedule="max_regret", max_steps=max_steps
+        batch, start, schedule="max_regret", max_steps=max_steps
     )
     if not result.all_converged:
         stuck = int((~result.converged).sum())
@@ -316,6 +307,10 @@ def batch_nashify(
             f"{len(batch)} games within {max_steps} steps"
         )
 
+    sigma = np.asarray(start, dtype=np.intp)
+    mean_caps = capacities.mean(axis=1)  # (B, m)
+    loads0 = _scatter_loads(sigma, weights, m, traffic)
+    lat0 = _chosen_latencies(sigma, loads0, capacities)
     loads1 = _scatter_loads(result.profiles, weights, m, traffic)
     lat1 = _chosen_latencies(result.profiles, loads1, capacities)
     return BatchNashifyResult(

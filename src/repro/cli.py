@@ -276,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--max-delay-ms",
         type=_delay_ms,
-        default=2.0,
-        help="flush the pending window after this many milliseconds "
-             "even if it is not full",
+        default=None,
+        help="hold each pending window open this many milliseconds for "
+             "more games (default: flush as soon as the requests that "
+             "have already arrived are in)",
     )
     serve_p.add_argument(
         "--cache-size",
@@ -432,15 +433,18 @@ def _cmd_serve(
     host: str,
     port: int,
     max_batch: int,
-    max_delay_ms: float,
+    max_delay_ms: float | None,
     cache_size: int,
     fixpoint_max_rounds: int | None,
 ) -> int:
     import asyncio
 
     from repro.batch.fixpoint import DEFAULT_MAX_ROUNDS
+    from repro.service.batcher import DEFAULT_MAX_DELAY_MS
     from repro.service.server import EquilibriumServer
 
+    if max_delay_ms is None:
+        max_delay_ms = DEFAULT_MAX_DELAY_MS
     if fixpoint_max_rounds is None:
         fixpoint_max_rounds = DEFAULT_MAX_ROUNDS
 

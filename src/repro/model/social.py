@@ -28,7 +28,9 @@ from typing import Literal
 
 import numpy as np
 
+from repro.batch.container import GameBatch
 from repro.batch.kernels import MAX_EXHAUSTIVE_PROFILES, enumerate_assignments
+from repro.batch.poa import batch_all_pure_latencies
 from repro.errors import ModelError, SolverError
 from repro.model.game import UncertainRoutingGame
 from repro.model.latency import min_expected_latencies, pure_latencies
@@ -106,21 +108,11 @@ def all_pure_costs(
 
     Returns ``(assignments, latencies)`` where ``latencies[r, i]`` is the
     belief-expected latency of user ``i`` under assignment row ``r``. Used
-    by the exhaustive optimum and by the pure-NE enumerator.
+    by the exhaustive optimum. The ``B = 1`` view of
+    :func:`repro.batch.poa.batch_all_pure_latencies`.
     """
-    if assignments is None:
-        assignments = enumerate_assignments(game.num_users, game.num_links)
-    sig = np.ascontiguousarray(assignments, dtype=np.intp)
-    n, m = game.num_users, game.num_links
-    w = game.weights
-    # loads[r, l] = t_l + sum_i w_i [sig[r, i] == l]   (one-hot matmul-free)
-    loads = np.zeros((sig.shape[0], m))
-    for link in range(m):
-        loads[:, link] = (w[None, :] * (sig == link)).sum(axis=1)
-    loads += game.initial_traffic[None, :]
-    rows = np.arange(sig.shape[0])[:, None]
-    lat = loads[rows, sig] / game.capacities[np.arange(n)[None, :], sig]
-    return sig, lat
+    sig, lat = batch_all_pure_latencies(GameBatch.from_games([game]), assignments)
+    return sig, lat[0]
 
 
 @dataclass(frozen=True)

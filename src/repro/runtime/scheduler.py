@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from repro.batch.backend import get_backend
-from repro.errors import BackendError
+from repro.errors import BackendError, StoreError
 from repro.runtime.spec import ShardPlan, SweepSpec
 from repro.runtime.store import ResultStore, canonical_payload
 from repro.util.parallel import ReplicationChunk, iter_tasks
@@ -70,6 +70,35 @@ def _chunk_record(
     }
 
 
+def _refuse_other_chunking(
+    spec: SweepSpec,
+    label: str,
+    batch_size: int | None,
+    seed: int | None,
+    stored: dict,
+    path: Path,
+) -> None:
+    """Raise :class:`StoreError` if *stored* holds a record of this spec
+    and seeded label that no shard of this run's chunking would write.
+
+    Such a record was written under another ``batch_size``. Resuming
+    over it would append this chunking's records next to it, leaving
+    overlapping replication ranges that every reader adds up.
+    """
+    chunks, _ = spec.chunks(batch_size=batch_size, seed=seed)
+    ours = {
+        (spec.experiment, label, c.num_users, c.num_links, c.rep_lo, c.rep_hi)
+        for c in chunks
+    }
+    for key in stored:
+        if key[:2] == (spec.experiment, label) and key not in ours:
+            raise StoreError(
+                f"cannot resume from {path}: chunk {key} is not a chunk "
+                f"of this run (batch_size={batch_size}); resume with the "
+                f"batch size that wrote the store, or start a fresh store"
+            )
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -89,9 +118,10 @@ def run_sweep(
         CPUs). Never affects results or store contents.
     batch_size:
         Replications per chunk (``None``: one chunk per cell). Resuming
-        requires the same value the interrupted run used — different
-        chunk boundaries produce different store keys and the completed
-        work would not be recognised.
+        requires the same value the interrupted run used: a stored
+        record of this spec and seed whose replication range is not a
+        chunk of this chunking raises :class:`~repro.errors.StoreError`
+        before anything is appended.
     seed:
         Optional global seed override, folded into the spec's seed
         label; ``None`` keeps the published baseline streams.
@@ -125,6 +155,7 @@ def run_sweep(
         if store is None:
             raise ValueError("resume=True requires a result store")
         stored = store.load_records()
+        _refuse_other_chunking(spec, label, batch_size, seed, stored, store.path)
         backend_name = get_backend().name
         for i, chunk in enumerate(chunks):
             key = (

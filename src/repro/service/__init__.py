@@ -12,8 +12,11 @@ The batch engine (PRs 1-4) runs offline campaigns; this package serves
 * :mod:`repro.service.cache`   — content-addressed LRU of completed
   responses (repeat traffic is O(hash));
 * :mod:`repro.service.batcher` — dynamic batching: concurrent requests
-  coalesce into a window that flushes on ``max_batch`` or
-  ``max_delay_ms``, whichever first, with in-flight digest ride-along;
+  coalesce into a window that flushes at ``max_batch`` games or once
+  the requests already read are in (``max_delay_ms``, 0 by default,
+  holds it open instead), with in-flight digest ride-along. Against
+  the old 2 ms window, flushing at idle took ``serve-solve``'s median
+  latency from 3.8-4.0 to 1.4-1.6 ms at unchanged throughput;
 * :mod:`repro.service.server`  — the JSON-lines asyncio TCP server
   (``repro-experiments serve``); it encodes each solved response once,
   caches the bytes, and splices them into every reply for that game;
@@ -27,7 +30,7 @@ to the wire (``tests/test_service.py`` pins it differentially, cache
 hits and mixed-shape concurrent loads included).
 """
 
-from repro.service.batcher import DynamicBatcher
+from repro.service.batcher import DEFAULT_MAX_DELAY_MS, DynamicBatcher
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient
 from repro.service.query import (
@@ -41,6 +44,7 @@ from repro.service.query import (
 from repro.service.server import EquilibriumServer
 
 __all__ = [
+    "DEFAULT_MAX_DELAY_MS",
     "MAX_SERVICE_PROFILES",
     "DynamicBatcher",
     "EquilibriumRequest",

@@ -477,10 +477,10 @@ def _answer_census(
     :func:`repro.runtime.store.canonical_payload`.
     """
     n, m = batch.num_users, batch.num_links
-    ratios = batch_empirical_ratios(batch)
     fm = batch_fully_mixed_candidate(
         batch.weights, batch.capacities, batch.initial_traffic
     )
+    ratios = batch_empirical_ratios(batch, fully_mixed=fm)
     nash = _nashify_records(batch)
     bound_general = batch_poa_bound_general(batch.capacities)
     bound_uniform = batch_poa_bound_uniform(batch.capacities)

@@ -48,7 +48,7 @@ from typing import Any, Callable, Sequence
 from repro.batch.backend import get_backend
 from repro.batch.fixpoint import DEFAULT_MAX_ROUNDS
 from repro.runtime.store import canonical_dumps, canonical_loads
-from repro.service.batcher import DynamicBatcher, Solver
+from repro.service.batcher import DEFAULT_MAX_DELAY_MS, DynamicBatcher, Solver
 from repro.service.cache import ResultCache
 from repro.service.query import (
     EquilibriumRequest,
@@ -110,7 +110,7 @@ class EquilibriumServer:
         port: int = 0,
         *,
         max_batch: int = 64,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = DEFAULT_MAX_DELAY_MS,
         cache_size: int = 1024,
         solver: Solver = solve_requests,
         fixpoint_solver: Solver | None = None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from census_oracle import oracle_all_pure_costs
 from repro.analysis.poa import (
     empirical_coordination_ratios,
     poa_bound_general,
@@ -72,13 +73,24 @@ class TestBatchOptima:
     @pytest.mark.parametrize("b,n,m", SHAPES)
     @pytest.mark.parametrize("with_traffic", [False, True])
     def test_pure_latency_tensor_matches_all_pure_costs(self, b, n, m, with_traffic):
+        """Each slice equals the per-link masked-sum loop the single-game
+        ``all_pure_costs`` ran before it became this kernel's view."""
         batch = make_batch(b, n, m, with_traffic=with_traffic)
         sig, lat = batch_all_pure_latencies(batch)
         assert lat.shape == (b, sig.shape[0], n)
         for i in range(b):
-            ref_sig, ref_lat = all_pure_costs(batch.game(i))
+            ref_sig, ref_lat = oracle_all_pure_costs(batch.game(i))
             assert np.array_equal(sig, ref_sig)
             assert np.array_equal(lat[i], ref_lat)
+
+    @pytest.mark.parametrize("b,n,m", SHAPES)
+    def test_all_pure_costs_is_the_b1_view(self, b, n, m):
+        batch = make_batch(b, n, m, with_traffic=True)
+        _, lat = batch_all_pure_latencies(batch)
+        for i in range(b):
+            sig, view = all_pure_costs(batch.game(i))
+            assert np.array_equal(view, lat[i])
+            assert np.array_equal(view, oracle_all_pure_costs(batch.game(i))[1])
 
     @pytest.mark.parametrize("b,n,m", SHAPES)
     def test_optima_match_opt1_opt2(self, b, n, m):

@@ -266,6 +266,31 @@ class TestCli:
         )
         assert not (tmp_path / "s.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_resume_refuses_another_batch_size(self, command, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        assert main(
+            ["run", "E5", "--quick", "--store", str(path), "--batch-size", "4"]
+        ) == 0
+        before = path.read_bytes()
+        assert len(before.splitlines()) == 8
+        capsys.readouterr()
+        args = ["--quick", "--store", str(path), "--resume", "--batch-size", "2"]
+        if command == "run":
+            argv = ["run", "E5", *args]
+        else:
+            argv = ["report", "-o", str(tmp_path / "r.md"), "--ids", "E5", *args]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: cannot resume from {path}: chunk "
+            f"('E5', 'E5', 2, 2, 0, 4) is not a chunk of this run "
+            f"(batch_size=2); resume with the batch size that wrote the "
+            f"store, or start a fresh store\n"
+        )
+        assert path.read_bytes() == before
+
     def test_resume_refuses_a_foreign_line(self, tmp_path, capsys):
         path = tmp_path / "s.jsonl"
         path.write_text('{"x": 1}\n')

@@ -22,6 +22,7 @@ from repro.errors import StoreError
 from repro.generators.suites import GridCell
 from repro.runtime import (
     ResultStore,
+    ShardPlan,
     SweepSpec,
     canonical_dumps,
     canonical_loads,
@@ -303,6 +304,32 @@ class TestScheduler:
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="resume"):
             run_sweep(_spec(), resume=True)
+
+    @pytest.mark.parametrize("written, resumed", [(2, 1), (2, 3), (None, 2), (2, None)])
+    def test_resume_refuses_another_batch_size(self, tmp_path, written, resumed):
+        """A store written under one chunking and resumed under another
+        would end up holding overlapping replication ranges."""
+        path = tmp_path / "s.jsonl"
+        run_sweep(_spec(), batch_size=written, store=path)
+        path.write_bytes(path.read_bytes()[:-1])  # an unterminated tail too
+        before = path.read_bytes()
+        with pytest.raises(StoreError) as excinfo:
+            run_sweep(_spec(), batch_size=resumed, store=path, resume=True)
+        message = str(excinfo.value)
+        assert message.startswith(f"cannot resume from {path}: chunk ('RT', ")
+        assert f"batch_size={resumed}" in message
+        assert path.read_bytes() == before
+
+    def test_resume_accepts_every_shard_of_the_same_chunking(self, tmp_path):
+        """A store holding other shards' chunks of the same chunking is
+        not refused: each of them is a chunk of this run's chunking."""
+        path = tmp_path / "s.jsonl"
+        run_sweep(_spec(), batch_size=2, store=path, shard=ShardPlan(1, 2))
+        resumed = run_sweep(
+            _spec(), batch_size=2, store=path, resume=True, shard=ShardPlan(0, 2)
+        )
+        assert resumed.resumed_chunks == 0
+        assert resumed.computed_chunks == 4
 
     def test_resume_ignores_other_labels(self, tmp_path):
         path = tmp_path / "s.jsonl"

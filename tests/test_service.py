@@ -35,6 +35,7 @@ from repro.model.beliefs import BeliefProfile, StateSpace
 from repro.model.game import UncertainRoutingGame
 from repro.model.social import opt1, opt2
 from repro.service import (
+    DEFAULT_MAX_DELAY_MS,
     MAX_SERVICE_PROFILES,
     DynamicBatcher,
     EquilibriumRequest,
@@ -45,6 +46,7 @@ from repro.service import (
     game_digest,
     solve_requests,
 )
+from repro.runtime.store import canonical_dumps, canonical_loads
 from repro.service import server as server_module
 from repro.util.rng import stable_seed
 
@@ -365,6 +367,82 @@ class TestDynamicBatcher:
         assert batcher.size_flushes == 0
         _check_differential(request, result)
 
+    def test_default_solves_a_lone_request_at_once(self):
+        """Under the defaults a lone request reaches the solver within a
+        few event-loop passes, counted by a callback that reschedules
+        itself once per pass; a timed window would let it spin for as
+        many passes as fit in the window."""
+        request = _request("idle", 2, 2)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            passes = [0]
+
+            def tick():
+                passes[0] += 1
+                loop.call_soon(tick)
+
+            solved_at = []
+
+            def solver(window):
+                solved_at.append(passes[0])
+                return solve_requests(window)
+
+            loop.call_soon(tick)
+            await asyncio.sleep(0)
+            batcher = DynamicBatcher(solver)
+            submitted_at = passes[0]
+            result = await batcher.submit(request)
+            await batcher.close()
+            return batcher, result, solved_at[0] - submitted_at
+
+        batcher, result, passes = asyncio.run(scenario())
+        assert batcher.max_delay_ms == DEFAULT_MAX_DELAY_MS == 0.0
+        assert passes <= 3
+        assert batcher.deadline_flushes == 1
+        assert batcher.size_flushes == 0
+        _check_differential(request, result)
+
+    def test_default_still_batches_what_arrives_together(self):
+        requests = [_request("together", 3, 3, i) for i in range(5)]
+
+        async def scenario():
+            batcher = DynamicBatcher()
+            results = await asyncio.gather(
+                *(batcher.submit(request) for request in requests)
+            )
+            await batcher.close()
+            return batcher, results
+
+        batcher, results = asyncio.run(scenario())
+        assert batcher.batches == 1
+        assert batcher.batched_games == 5
+        for request, response in zip(requests, results):
+            _check_differential(request, response)
+
+    def test_explicit_delay_holds_the_window_open(self):
+        request = _request("held", 2, 2)
+        solved = []
+
+        def solver(window):
+            solved.append(len(window))
+            return solve_requests(window)
+
+        async def scenario():
+            batcher = DynamicBatcher(solver, max_delay_ms=10_000.0)
+            waiter = asyncio.ensure_future(batcher.submit(request))
+            for _ in range(100):
+                await asyncio.sleep(0)
+            held = (list(solved), batcher.stats()["pending"])
+            await batcher.close()
+            return held, await waiter
+
+        (solved_while_held, pending), result = asyncio.run(scenario())
+        assert solved_while_held == []
+        assert pending == 1
+        assert solved == [1]
+        _check_differential(request, result)
+
     def test_duplicate_digests_ride_along(self):
         request = _request("dup", 3, 3)
 
@@ -473,6 +551,41 @@ class TestEquilibriumServer:
         assert stats["batched_games"] == len(payloads)
         for request, response in zip(requests, burst):
             _check_differential(request, response)
+
+    def test_pipelined_lines_batch_under_the_defaults(self):
+        """K solve lines sent in one write are answered in fewer than K
+        batches: the first line opens a window, and the lines read with
+        it in the same pass land in it (the property CI's service-smoke
+        job gates on)."""
+        requests = [_request("pipe", 3, 3, index) for index in range(24)]
+        lines = b"".join(
+            canonical_dumps({"op": "solve", "id": index, **_payload(request)})
+            .encode("utf-8") + b"\n"
+            for index, request in enumerate(requests)
+        )
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(lines)
+                await writer.drain()
+                replies = [
+                    canonical_loads((await reader.readline()).decode("utf-8"))
+                    for _ in requests
+                ]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return replies, server.stats()
+
+        replies, stats = asyncio.run(_with_server(scenario))
+        assert stats["batched_games"] == len(requests)
+        assert stats["batches"] < len(requests)
+        by_id = {reply["id"]: reply["result"] for reply in replies}
+        for index, request in enumerate(requests):
+            _check_differential(request, by_id[index])
 
     def test_protocol_errors_do_not_kill_the_connection(self):
         async def scenario(server):
