@@ -97,9 +97,15 @@ def batch_all_pure_latencies(
     """
     n, m = batch.num_users, batch.num_links
     if assignments is None:
-        assignments = enumerate_assignments(n, m)
-    sig = np.ascontiguousarray(assignments, dtype=np.intp)
-    return sig, _pure_latencies(batch, sig, _link_sets(sig, m))
+        # A fresh copy of the canonical table: its link sets are
+        # memoised under the key of its rows, shared with the census
+        # when they form one block.
+        sig = enumerate_assignments(n, m)
+        key: tuple | None = (n, m, 0, sig.shape[0])
+    else:
+        sig = np.ascontiguousarray(assignments, dtype=np.intp)
+        key = None
+    return sig, _pure_latencies(batch, sig, _link_sets(sig, m, key))
 
 
 class _LinkSets(NamedTuple):
@@ -116,9 +122,6 @@ class _LinkSets(NamedTuple):
     #: ``(P, n)``: the row of ``user_sets`` on user ``i``'s link in
     #: profile ``p``.
     set_index: np.ndarray
-    #: ``(P, n)``: ``i * m + sigma[p, i]``, user ``i``'s capacity on its
-    #: link in a flattened ``(n * m)`` capacity row.
-    cap_index: np.ndarray
 
 
 _LINK_SETS_CACHE: dict[tuple[int, int, int, int], _LinkSets] = {}
@@ -133,15 +136,14 @@ def _link_sets(
     def build() -> _LinkSets:
         sig = np.asarray(block, dtype=np.intp)
         num_p, n = sig.shape
-        on_link = sig[:, :, None] == np.arange(num_links)  # (P, n, m)
-        # Each (profile, link) pair's user set as a bit code.
-        codes = (on_link << np.arange(n)[:, None]).sum(axis=1)  # (P, m)
+        # Each (profile, link) pair's user set as a bit code, (P, m).
+        bits = 1 << np.arange(n, dtype=np.int64)
+        codes = np.stack([(sig == link) @ bits for link in range(num_links)], 1)
         distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
         inverse = inverse.reshape(num_p, num_links)
         return _LinkSets(
             user_sets=((distinct[:, None] >> np.arange(n)) & 1).astype(np.float64),
             set_index=np.take_along_axis(inverse, sig, axis=1),
-            cap_index=sig + np.arange(n) * num_links,
         )
 
     return _memoised(_LINK_SETS_CACHE, key, build)
@@ -168,7 +170,9 @@ def _pure_latencies(
         batch.initial_traffic, block, axis=1
     )
     chosen_cap = np.take(
-        batch.capacities.reshape(len(batch), n * m), sets.cap_index, axis=1
+        batch.capacities.reshape(len(batch), n * m),
+        block + np.arange(n) * m,
+        axis=1,
     )
     return chosen_load / chosen_cap
 

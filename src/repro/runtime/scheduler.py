@@ -81,9 +81,11 @@ def _refuse_other_chunking(
     """Raise :class:`StoreError` if *stored* holds a record of this spec
     and seeded label that no shard of this run's chunking would write.
 
-    Such a record was written under another ``batch_size``. Resuming
-    over it would append this chunking's records next to it, leaving
-    overlapping replication ranges that every reader adds up.
+    Such a record was written under another ``batch_size`` or another
+    grid: a ``--quick`` store resumed by a full run, or a store written
+    before the grid changed. Resuming over it would append this run's
+    records next to it, leaving overlapping replication ranges that
+    every reader adds up.
     """
     chunks, _ = spec.chunks(batch_size=batch_size, seed=seed)
     ours = {
@@ -94,8 +96,9 @@ def _refuse_other_chunking(
         if key[:2] == (spec.experiment, label) and key not in ours:
             raise StoreError(
                 f"cannot resume from {path}: chunk {key} is not a chunk "
-                f"of this run (batch_size={batch_size}); resume with the "
-                f"batch size that wrote the store, or start a fresh store"
+                f"of this run's grid and chunking (batch_size={batch_size}); "
+                f"resume with the grid and batch size that wrote the store, "
+                f"or start a fresh store"
             )
 
 

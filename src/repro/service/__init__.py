@@ -16,7 +16,7 @@ The batch engine (PRs 1-4) runs offline campaigns; this package serves
   the requests already read are in (``max_delay_ms``, 0 by default,
   holds it open instead), with in-flight digest ride-along. Against
   the old 2 ms window, flushing at idle took ``serve-solve``'s median
-  latency from 3.8-4.0 to 1.4-1.6 ms at unchanged throughput;
+  latency from 4.0-4.1 to 1.5-1.6 ms;
 * :mod:`repro.service.server`  — the JSON-lines asyncio TCP server
   (``repro-experiments serve``); it encodes each solved response once,
   caches the bytes, and splices them into every reply for that game;

@@ -7,22 +7,22 @@ whichever comes first:
 * **size** — ``max_batch`` distinct games are waiting;
 * **deadline** — ``max_delay_ms`` elapsed since the window opened (the
   first request's arrival). At the default of
-  :data:`DEFAULT_MAX_DELAY_MS` = 0 the deadline is the end of the event
-  loop's current pass: the window flushes once the callbacks that were
-  already queued when it opened have run, so it takes in every request
-  that had arrived by then and waits for none that had not.
+  :data:`DEFAULT_MAX_DELAY_MS` = 0 the deadline timer is due at once,
+  so the window flushes on the event loop's next pass, after the
+  callbacks that were already queued when it opened: it takes in every
+  request that had arrived by then and waits for none that had not.
 
 The zero default makes the batcher work-conserving. A lone request on
 an idle server is solved at once, while requests that arrive during a
 solve queue up in the transport and land in the next window together.
 A fixed window cost every lone request its full length: on the
 ``serve-solve`` benchmark's 100 qps open loop, the old 2 ms default put
-the median latency at 3.8-4.0 ms and 0 puts it at 1.4-1.6 ms (medians
-of three rounds of 10 run pairs on a 2-vCPU Xeon), with closed-loop
-throughput unchanged within its spread. A positive
-``max_delay_ms`` still holds each window open that long, for a
-deployment that prefers fuller batches to latency. Idle flushes count
-as ``deadline_flushes`` in :meth:`DynamicBatcher.stats`.
+the median latency at 4.0-4.1 ms and 0 puts it at 1.5-1.6 ms (medians
+of two rounds of 10 run pairs on a 2-vCPU Xeon; the README's "Serving
+equilibria" gives the throughput). A positive ``max_delay_ms`` still
+holds each window open that long, for a deployment that prefers fuller
+batches to latency. Idle flushes count as ``deadline_flushes`` in
+:meth:`DynamicBatcher.stats`.
 
 A flush hands the whole window to the solver seam
 (:func:`repro.service.query.solve_requests` by default), which stacks
@@ -54,9 +54,8 @@ from repro.service.query import EquilibriumRequest, solve_requests
 __all__ = ["DEFAULT_MAX_DELAY_MS", "DynamicBatcher"]
 
 #: How long a window waits for more games by default: none. The window
-#: flushes as soon as the event loop has run what was queued when it
-#: opened (see the module docstring). ``EquilibriumServer`` and
-#: ``serve --max-delay-ms`` default to it too.
+#: flushes on the event loop's next pass (see the module docstring).
+#: ``EquilibriumServer`` and ``serve --max-delay-ms`` default to it too.
 DEFAULT_MAX_DELAY_MS = 0.0
 
 #: The solver seam: mixed-shape requests in, per-request responses out.
@@ -67,8 +66,8 @@ class DynamicBatcher:
     """Coalesce concurrent queries into batched solver passes.
 
     A window flushes at ``max_batch`` distinct games, or ``max_delay_ms``
-    after it opened; at ``max_delay_ms = 0`` (the default) once the event
-    loop has run the callbacks queued when it opened.
+    after it opened; at ``max_delay_ms = 0`` (the default) on the event
+    loop's next pass.
     """
 
     def __init__(
@@ -92,7 +91,7 @@ class DynamicBatcher:
         self._pending: list[EquilibriumRequest] = []
         #: digest -> futures awaiting it (pending *or* mid-flush).
         self._waiters: dict[str, list[asyncio.Future]] = {}
-        self._deadline: asyncio.Handle | None = None
+        self._deadline: asyncio.TimerHandle | None = None
         self._flushes: set[asyncio.Task] = set()
         self._closed = False
         # Counters for the ``stats`` op / benchmarks.
@@ -124,12 +123,9 @@ class DynamicBatcher:
         if len(self._pending) >= self.max_batch:
             self._flush("size")
         elif self._deadline is None:
-            if self.max_delay_ms > 0:
-                self._deadline = loop.call_later(
-                    self.max_delay_ms / 1000.0, self._flush, "deadline"
-                )
-            else:  # once the callbacks already queued have run
-                self._deadline = loop.call_soon(self._flush, "deadline")
+            self._deadline = loop.call_later(
+                self.max_delay_ms / 1000.0, self._flush, "deadline"
+            )
         return await future
 
     def _flush(self, trigger: str) -> None:

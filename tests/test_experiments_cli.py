@@ -285,9 +285,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             f"{command}: cannot resume from {path}: chunk "
-            f"('E5', 'E5', 2, 2, 0, 4) is not a chunk of this run "
-            f"(batch_size=2); resume with the batch size that wrote the "
-            f"store, or start a fresh store\n"
+            f"('E5', 'E5', 2, 2, 0, 4) is not a chunk of this run's grid "
+            f"and chunking (batch_size=2); resume with the grid and batch "
+            f"size that wrote the store, or start a fresh store\n"
+        )
+        assert path.read_bytes() == before
+
+    def test_resume_refuses_a_quick_store_under_the_full_grid(
+        self, tmp_path, capsys
+    ):
+        """The quick and full E5 grids share the label ``E5``; their
+        chunks differ, so a full run does not resume a quick store."""
+        path = tmp_path / "s.jsonl"
+        assert main(["run", "E5", "--quick", "--store", str(path)]) == 0
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["run", "E5", "--store", str(path), "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"run: cannot resume from {path}: chunk "
+            f"('E5', 'E5', 2, 2, 0, 8) is not a chunk of this run's grid "
+            f"and chunking (batch_size=None); resume with the grid and "
+            f"batch size that wrote the store, or start a fresh store\n"
         )
         assert path.read_bytes() == before
 
