@@ -32,166 +32,111 @@ Quickstart::
     beliefs = BeliefProfile.from_matrix(states, [[0.9, 0.1], [0.2, 0.8]])
     game = UncertainRoutingGame([1.0, 2.0], beliefs)
     profile, method = solve_pure_nash(game)
+
+Each exported name is imported on first use (:mod:`repro._lazy`), so
+``import repro`` loads no subpackage and no NumPy.
 """
 
-from repro.errors import (
-    AlgorithmDomainError,
-    BeliefError,
-    ConvergenceError,
-    DimensionError,
-    ModelError,
-    NoEquilibriumError,
-    NotFullyMixedError,
-    ReproError,
-    SolverError,
-)
-from repro.model import (
-    Belief,
-    BeliefProfile,
-    MixedProfile,
-    OptimumResult,
-    PureProfile,
-    StateSpace,
-    UncertainRoutingGame,
-    common_belief_profile,
-    coordination_ratios,
-    dirichlet_belief,
-    opt1,
-    opt2,
-    optimum,
-    point_mass_belief,
-    sc1,
-    sc2,
-    uniform_belief,
-)
-from repro.equilibria import (
-    asymmetric,
-    atwolinks,
-    auniform,
-    best_response_dynamics,
-    better_response_dynamics,
-    count_pure_nash,
-    enumerate_mixed_nash,
-    exists_pure_nash,
-    fully_mixed_candidate,
-    fully_mixed_nash,
-    has_fully_mixed_nash,
-    is_mixed_nash,
-    is_pure_nash,
-    pure_nash_profiles,
-    solve_pure_nash,
-)
-from repro.analysis import (
-    poa_bound_general,
-    poa_bound_uniform,
-    run_conjecture_campaign,
-    verify_fmne_dominance,
-)
-from repro.batch import (
-    BatchDynamicsResult,
-    GameBatch,
-    batch_best_response_dynamics,
-    batch_better_response_dynamics,
-    batch_count_pure_nash,
-    batch_deviation_latencies,
-    batch_exists_pure_nash,
-    batch_loads,
-    batch_pure_latencies,
-    batch_pure_nash_mask,
-    batch_empirical_ratios,
-    batch_fully_mixed_candidate,
-    batch_is_mixed_nash,
-    batch_min_expected_latencies,
-    batch_mixed_latency_matrix,
-    batch_poa_bound_general,
-    batch_poa_bound_uniform,
-    batch_social_optima,
-    batch_enumerate_mixed_nash,
-    random_game_batch,
-)
-from repro.runtime import ResultStore, SweepResult, SweepSpec, run_sweep
-from repro.substrates import PlayerSpecificGame, kp_game
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # errors
-    "AlgorithmDomainError",
-    "BeliefError",
-    "ConvergenceError",
-    "DimensionError",
-    "ModelError",
-    "NoEquilibriumError",
-    "NotFullyMixedError",
-    "ReproError",
-    "SolverError",
-    # model
-    "Belief",
-    "BeliefProfile",
-    "MixedProfile",
-    "OptimumResult",
-    "PureProfile",
-    "StateSpace",
-    "UncertainRoutingGame",
-    "common_belief_profile",
-    "coordination_ratios",
-    "dirichlet_belief",
-    "opt1",
-    "opt2",
-    "optimum",
-    "point_mass_belief",
-    "sc1",
-    "sc2",
-    "uniform_belief",
-    # equilibria
-    "asymmetric",
-    "atwolinks",
-    "auniform",
-    "best_response_dynamics",
-    "better_response_dynamics",
-    "count_pure_nash",
-    "enumerate_mixed_nash",
-    "exists_pure_nash",
-    "fully_mixed_candidate",
-    "fully_mixed_nash",
-    "has_fully_mixed_nash",
-    "is_mixed_nash",
-    "is_pure_nash",
-    "pure_nash_profiles",
-    "solve_pure_nash",
-    # analysis
-    "poa_bound_general",
-    "poa_bound_uniform",
-    "run_conjecture_campaign",
-    "verify_fmne_dominance",
-    # batch engine
-    "BatchDynamicsResult",
-    "GameBatch",
-    "batch_best_response_dynamics",
-    "batch_better_response_dynamics",
-    "batch_count_pure_nash",
-    "batch_deviation_latencies",
-    "batch_exists_pure_nash",
-    "batch_loads",
-    "batch_pure_latencies",
-    "batch_pure_nash_mask",
-    "batch_empirical_ratios",
-    "batch_fully_mixed_candidate",
-    "batch_is_mixed_nash",
-    "batch_min_expected_latencies",
-    "batch_mixed_latency_matrix",
-    "batch_poa_bound_general",
-    "batch_poa_bound_uniform",
-    "batch_social_optima",
-    "batch_enumerate_mixed_nash",
-    "random_game_batch",
-    # campaign runtime
-    "ResultStore",
-    "SweepResult",
-    "SweepSpec",
-    "run_sweep",
-    # substrates
-    "PlayerSpecificGame",
-    "kp_game",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.errors": (
+            "AlgorithmDomainError",
+            "BeliefError",
+            "ConvergenceError",
+            "DimensionError",
+            "ModelError",
+            "NoEquilibriumError",
+            "NotFullyMixedError",
+            "ReproError",
+            "SolverError",
+        ),
+        # model
+        "repro.model.beliefs": (
+            "Belief",
+            "BeliefProfile",
+            "common_belief_profile",
+            "dirichlet_belief",
+            "point_mass_belief",
+            "uniform_belief",
+        ),
+        "repro.model.game": ("UncertainRoutingGame",),
+        "repro.model.profiles": ("MixedProfile", "PureProfile"),
+        "repro.model.social": (
+            "OptimumResult",
+            "coordination_ratios",
+            "opt1",
+            "opt2",
+            "optimum",
+            "sc1",
+            "sc2",
+        ),
+        "repro.model.state": ("StateSpace",),
+        # equilibria
+        "repro.equilibria.best_response": (
+            "best_response_dynamics",
+            "better_response_dynamics",
+        ),
+        "repro.equilibria.conditions": ("is_mixed_nash", "is_pure_nash"),
+        "repro.equilibria.enumeration": (
+            "count_pure_nash",
+            "exists_pure_nash",
+            "pure_nash_profiles",
+        ),
+        "repro.equilibria.fully_mixed": (
+            "fully_mixed_candidate",
+            "fully_mixed_nash",
+            "has_fully_mixed_nash",
+        ),
+        "repro.equilibria.solve": ("solve_pure_nash",),
+        "repro.equilibria.support_enum": ("enumerate_mixed_nash",),
+        "repro.equilibria.symmetric": ("asymmetric",),
+        "repro.equilibria.two_links": ("atwolinks",),
+        "repro.equilibria.uniform": ("auniform",),
+        # analysis
+        "repro.analysis.conjecture": ("run_conjecture_campaign",),
+        "repro.analysis.poa": ("poa_bound_general", "poa_bound_uniform"),
+        "repro.analysis.worst_case": ("verify_fmne_dominance",),
+        # batch engine
+        "repro.batch.container": ("GameBatch",),
+        "repro.batch.dynamics": (
+            "BatchDynamicsResult",
+            "batch_best_response_dynamics",
+            "batch_better_response_dynamics",
+        ),
+        "repro.batch.generator": ("random_game_batch",),
+        "repro.batch.kernels": (
+            "batch_count_pure_nash",
+            "batch_deviation_latencies",
+            "batch_exists_pure_nash",
+            "batch_loads",
+            "batch_pure_latencies",
+            "batch_pure_nash_mask",
+        ),
+        "repro.batch.mixed": (
+            "batch_fully_mixed_candidate",
+            "batch_is_mixed_nash",
+            "batch_min_expected_latencies",
+            "batch_mixed_latency_matrix",
+        ),
+        "repro.batch.poa": (
+            "batch_empirical_ratios",
+            "batch_poa_bound_general",
+            "batch_poa_bound_uniform",
+            "batch_social_optima",
+        ),
+        "repro.batch.support": ("batch_enumerate_mixed_nash",),
+        # campaign runtime
+        "repro.runtime.scheduler": ("SweepResult", "run_sweep"),
+        "repro.runtime.spec": ("SweepSpec",),
+        "repro.runtime.store": ("ResultStore",),
+        # substrates
+        "repro.substrates.kp": ("kp_game",),
+        "repro.substrates.player_specific": ("PlayerSpecificGame",),
+    },
+)
+__all__.append("__version__")

@@ -1,43 +1,30 @@
 """Analysis layer: price-of-anarchy bounds, worst-case equilibria,
 the conjecture campaign and empirical complexity fits."""
 
-from repro.analysis.conjecture import CampaignResult, run_conjecture_campaign
-from repro.analysis.cycles import (
-    CycleSearchResult,
-    realize_cycle,
-    search_improvement_cycle_instance,
-)
-from repro.analysis.information import (
-    InformationStudy,
-    objective_latency,
-    run_information_study,
-)
-from repro.analysis.poa import (
-    PoAObservation,
-    empirical_coordination_ratios,
-    poa_bound_general,
-    poa_bound_uniform,
-    poa_study,
-)
-from repro.analysis.scaling import ScalingObservation, measure_scaling
-from repro.analysis.worst_case import DominanceReport, verify_fmne_dominance
+from repro._lazy import attach
 
-__all__ = [
-    "CampaignResult",
-    "run_conjecture_campaign",
-    "CycleSearchResult",
-    "realize_cycle",
-    "search_improvement_cycle_instance",
-    "InformationStudy",
-    "objective_latency",
-    "run_information_study",
-    "PoAObservation",
-    "empirical_coordination_ratios",
-    "poa_bound_general",
-    "poa_bound_uniform",
-    "poa_study",
-    "ScalingObservation",
-    "measure_scaling",
-    "DominanceReport",
-    "verify_fmne_dominance",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.analysis.conjecture": ("CampaignResult", "run_conjecture_campaign"),
+        "repro.analysis.cycles": (
+            "CycleSearchResult",
+            "realize_cycle",
+            "search_improvement_cycle_instance",
+        ),
+        "repro.analysis.information": (
+            "InformationStudy",
+            "objective_latency",
+            "run_information_study",
+        ),
+        "repro.analysis.poa": (
+            "PoAObservation",
+            "empirical_coordination_ratios",
+            "poa_bound_general",
+            "poa_bound_uniform",
+            "poa_study",
+        ),
+        "repro.analysis.scaling": ("ScalingObservation", "measure_scaling"),
+        "repro.analysis.worst_case": ("DominanceReport", "verify_fmne_dominance"),
+    },
+)

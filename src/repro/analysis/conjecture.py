@@ -38,7 +38,9 @@ from repro.batch.container import GameBatch
 from repro.batch.dynamics import batch_best_response_dynamics
 from repro.batch.kernels import batch_count_pure_nash
 from repro.generators.suites import GridCell, conjecture_grid
-from repro.runtime import ResultStore, SweepSpec, run_sweep
+from repro.runtime.scheduler import run_sweep
+from repro.runtime.spec import SweepSpec
+from repro.runtime.store import ResultStore
 from repro.util.parallel import ReplicationChunk
 from repro.util.tables import Table
 

@@ -52,7 +52,9 @@ from repro.model.game import UncertainRoutingGame
 from repro.model.profiles import MixedProfile, PureProfile, pure_to_mixed
 from repro.model.social import opt1, opt2
 from repro.generators.suites import GridCell
-from repro.runtime import ResultStore, SweepSpec, run_sweep
+from repro.runtime.scheduler import run_sweep
+from repro.runtime.spec import SweepSpec
+from repro.runtime.store import ResultStore
 from repro.util.parallel import ReplicationChunk
 
 __all__ = [

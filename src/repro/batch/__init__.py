@@ -33,114 +33,71 @@ The subsystem behind the library's instance-parallel workloads:
   kernel above is NumPy code, so :func:`get_backend` names ``numpy``.
 """
 
-from repro.batch.backend import get_backend
-from repro.batch.container import GameBatch
-from repro.batch.dynamics import (
-    BatchDynamicsResult,
-    batch_best_response_dynamics,
-    batch_better_response_dynamics,
-)
-from repro.batch.generator import random_game_batch
-from repro.batch.kernels import (
-    batch_count_pure_nash,
-    batch_deviation_latencies,
-    batch_exists_pure_nash,
-    batch_loads,
-    batch_pure_latencies,
-    batch_pure_nash_mask,
-)
-from repro.batch.mixed import (
-    BatchFullyMixedResult,
-    batch_fully_mixed_candidate,
-    batch_is_mixed_nash,
-    batch_min_expected_latencies,
-    batch_mixed_latency_matrix,
-    normalize_rows,
-)
-from repro.batch.fixpoint import (
-    CERT_TOL,
-    BatchFixpointResult,
-    batch_fixpoint_mixed_nash,
-)
-from repro.batch.support import (
-    MAX_SUPPORT_PROFILES,
-    batch_enumerate_for,
-    batch_enumerate_mixed_nash,
-    support_profiles,
-)
-from repro.batch.pure import (
-    BatchNashifyResult,
-    batch_asymmetric,
-    batch_atwolinks,
-    batch_auniform,
-    batch_four_cycle_gaps,
-    batch_nashify,
-    batch_nashify_common_beliefs,
-    batch_ordinal_potential_symmetric,
-    batch_realisable_cycles,
-    batch_response_cycle_census,
-    batch_sampled_cycle_gaps,
-    batch_verify_ordinal_potential_symmetric,
-    batch_verify_weighted_potential,
-    batch_weighted_potential,
-)
-from repro.batch.poa import (
-    BatchRatioResult,
-    EquilibriumStack,
-    batch_all_pure_latencies,
-    batch_empirical_ratios,
-    batch_equilibrium_profiles,
-    batch_poa_bound_general,
-    batch_poa_bound_uniform,
-    batch_social_optima,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "get_backend",
-    "GameBatch",
-    "BatchDynamicsResult",
-    "batch_best_response_dynamics",
-    "batch_better_response_dynamics",
-    "random_game_batch",
-    "batch_count_pure_nash",
-    "batch_deviation_latencies",
-    "batch_exists_pure_nash",
-    "batch_loads",
-    "batch_pure_latencies",
-    "batch_pure_nash_mask",
-    "CERT_TOL",
-    "BatchFixpointResult",
-    "batch_fixpoint_mixed_nash",
-    "BatchFullyMixedResult",
-    "batch_fully_mixed_candidate",
-    "batch_is_mixed_nash",
-    "batch_min_expected_latencies",
-    "batch_mixed_latency_matrix",
-    "normalize_rows",
-    "MAX_SUPPORT_PROFILES",
-    "batch_enumerate_for",
-    "batch_enumerate_mixed_nash",
-    "support_profiles",
-    "BatchNashifyResult",
-    "batch_asymmetric",
-    "batch_atwolinks",
-    "batch_auniform",
-    "batch_four_cycle_gaps",
-    "batch_nashify",
-    "batch_nashify_common_beliefs",
-    "batch_ordinal_potential_symmetric",
-    "batch_realisable_cycles",
-    "batch_response_cycle_census",
-    "batch_sampled_cycle_gaps",
-    "batch_verify_ordinal_potential_symmetric",
-    "batch_verify_weighted_potential",
-    "batch_weighted_potential",
-    "BatchRatioResult",
-    "EquilibriumStack",
-    "batch_all_pure_latencies",
-    "batch_empirical_ratios",
-    "batch_equilibrium_profiles",
-    "batch_poa_bound_general",
-    "batch_poa_bound_uniform",
-    "batch_social_optima",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.batch.backend": ("get_backend",),
+        "repro.batch.container": ("GameBatch",),
+        "repro.batch.dynamics": (
+            "BatchDynamicsResult",
+            "batch_best_response_dynamics",
+            "batch_better_response_dynamics",
+        ),
+        "repro.batch.fixpoint": (
+            "CERT_TOL",
+            "BatchFixpointResult",
+            "batch_fixpoint_mixed_nash",
+        ),
+        "repro.batch.generator": ("random_game_batch",),
+        "repro.batch.kernels": (
+            "batch_count_pure_nash",
+            "batch_deviation_latencies",
+            "batch_exists_pure_nash",
+            "batch_loads",
+            "batch_pure_latencies",
+            "batch_pure_nash_mask",
+        ),
+        "repro.batch.mixed": (
+            "BatchFullyMixedResult",
+            "batch_fully_mixed_candidate",
+            "batch_is_mixed_nash",
+            "batch_min_expected_latencies",
+            "batch_mixed_latency_matrix",
+            "normalize_rows",
+        ),
+        "repro.batch.poa": (
+            "BatchRatioResult",
+            "EquilibriumStack",
+            "batch_all_pure_latencies",
+            "batch_empirical_ratios",
+            "batch_equilibrium_profiles",
+            "batch_poa_bound_general",
+            "batch_poa_bound_uniform",
+            "batch_social_optima",
+        ),
+        "repro.batch.pure": (
+            "BatchNashifyResult",
+            "batch_asymmetric",
+            "batch_atwolinks",
+            "batch_auniform",
+            "batch_four_cycle_gaps",
+            "batch_nashify",
+            "batch_nashify_common_beliefs",
+            "batch_ordinal_potential_symmetric",
+            "batch_realisable_cycles",
+            "batch_response_cycle_census",
+            "batch_sampled_cycle_gaps",
+            "batch_verify_ordinal_potential_symmetric",
+            "batch_verify_weighted_potential",
+            "batch_weighted_potential",
+        ),
+        "repro.batch.support": (
+            "MAX_SUPPORT_PROFILES",
+            "batch_enumerate_for",
+            "batch_enumerate_mixed_nash",
+            "support_profiles",
+        ),
+    },
+)

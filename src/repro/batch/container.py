@@ -18,12 +18,14 @@ game object when a single-game API is needed.
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, Sequence
 
 import numpy as np
 
 from repro.errors import DimensionError, ModelError
-from repro.model.game import UncertainRoutingGame
+
+if TYPE_CHECKING:
+    from repro.model.game import UncertainRoutingGame
 
 __all__ = ["GameBatch"]
 
@@ -376,6 +378,8 @@ class GameBatch:
 
     def game(self, index: int) -> UncertainRoutingGame:
         """Materialise game *index* as an :class:`UncertainRoutingGame`."""
+        from repro.model.game import UncertainRoutingGame
+
         return UncertainRoutingGame.from_capacities(
             self._weights[index],
             self._capacities[index],

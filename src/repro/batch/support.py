@@ -37,13 +37,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.batch.mixed import batch_is_mixed_nash, normalize_rows
 from repro.errors import DimensionError, ModelError
-from repro.model.profiles import MixedProfile
+
+if TYPE_CHECKING:
+    from repro.model.profiles import MixedProfile
 
 __all__ = [
     "MAX_SUPPORT_PROFILES",
@@ -333,6 +335,8 @@ def batch_enumerate_mixed_nash(
         for pi, bi, is_nash in zip(p_idx, b_idx, verdicts):
             if is_nash:
                 found[bi].append((int(order[pi]), pm[pi, bi], pm2[pi, bi]))
+
+    from repro.model.profiles import MixedProfile
 
     results: list[list[MixedProfile]] = []
     for candidates in found:

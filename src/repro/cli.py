@@ -25,6 +25,10 @@ Subcommands:
   then replay verdicts from the merged store with ``run/report
   --store ... --resume``.
 
+Each subcommand imports what it runs when it runs: ``digest`` and
+``merge`` load no NumPy, ``serve`` loads no experiment, and ``list``,
+``run`` and ``report`` load the experiment registry.
+
 Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
 verdict; the process exit code is non-zero when any experiment fails,
 making the CLI usable as a reproduction gate in CI. A store that cannot
@@ -41,7 +45,6 @@ import time
 from typing import Sequence
 
 from repro.errors import StoreError
-from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 __all__ = ["main", "build_parser", "expand_ids"]
 
@@ -76,7 +79,7 @@ def _delay_ms(text: str) -> float:
 
 
 def _shard_plan(text: str):
-    from repro.runtime import ShardPlan
+    from repro.runtime.spec import ShardPlan
 
     try:
         return ShardPlan.parse(text)
@@ -92,6 +95,8 @@ def expand_ids(ids: Sequence[str]) -> list[str]:
     collapse onto their first occurrence, so ``run E5 E5 all`` runs E5
     once, first, followed by the remaining twelve experiments.
     """
+    from repro.experiments.registry import EXPERIMENTS
+
     expanded: list[str] = []
     for raw in ids:
         if raw.lower() == "all":
@@ -111,6 +116,8 @@ def _experiment_ids(
     ids: Sequence[str], parser: argparse.ArgumentParser
 ) -> list[str]:
     """:func:`expand_ids`, refusing unknown ids before any work starts."""
+    from repro.experiments.registry import EXPERIMENTS
+
     expanded = expand_ids(ids)
     unknown = [key for key in expanded if key not in EXPERIMENTS]
     if unknown:
@@ -308,6 +315,8 @@ def _runtime_options(args: argparse.Namespace) -> dict:
 
 
 def _cmd_list() -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
     width = max(len(k) for k in EXPERIMENTS)
     for key, entry in EXPERIMENTS.items():
         print(f"{key.ljust(width)}  {entry.title}")
@@ -325,7 +334,8 @@ def _cmd_run_shard(ids: Sequence[str], quick: bool, shard, **options) -> int:
     store via ``run``/``report`` ``--store ... --resume``.
     """
     from repro.experiments.registry import get_experiment_specs
-    from repro.runtime import run_sweep, shard_store_path
+    from repro.runtime.scheduler import run_sweep
+    from repro.runtime.store import shard_store_path
 
     store = options.pop("store")
     path = shard_store_path(store, shard.index)
@@ -354,7 +364,7 @@ def _cmd_run_shard(ids: Sequence[str], quick: bool, shard, **options) -> int:
 
 
 def _cmd_merge(store: str, shards: Sequence[str] | None, force: bool) -> int:
-    from repro.runtime import discover_shard_stores, merge_shard_stores
+    from repro.runtime.store import discover_shard_stores, merge_shard_stores
 
     sources = (
         list(shards) if shards is not None else discover_shard_stores(store)
@@ -383,7 +393,7 @@ def _cmd_merge(store: str, shards: Sequence[str] | None, force: bool) -> int:
 def _cmd_digest(store: str) -> int:
     from pathlib import Path
 
-    from repro.runtime import ResultStore
+    from repro.runtime.store import ResultStore
 
     # A missing path would digest as the empty store, so an equality
     # check between two mistyped paths would pass.
@@ -399,6 +409,8 @@ def _cmd_digest(store: str) -> int:
 
 
 def _cmd_run(ids: Sequence[str], quick: bool, **options) -> int:
+    from repro.experiments.registry import run_experiment
+
     failures = 0
     for experiment_id in ids:
         start = time.perf_counter()

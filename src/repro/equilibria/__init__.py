@@ -2,99 +2,71 @@
 best-response dynamics, enumeration, fully mixed equilibria, game graphs
 and potential-function analysis."""
 
-from repro.equilibria.approximate import (
-    best_epsilon_pure,
-    epsilon_mixed,
-    epsilon_pure,
-    rounded_fully_mixed,
-)
-from repro.equilibria.best_response import (
-    DynamicsResult,
-    best_response_dynamics,
-    best_responses,
-    better_response_dynamics,
-)
-from repro.equilibria.conditions import (
-    deviation_gains,
-    epsilon_of_profile,
-    is_mixed_nash,
-    is_pure_nash,
-    mixed_regrets,
-    pure_regrets,
-)
-from repro.equilibria.enumeration import (
-    count_pure_nash,
-    exists_pure_nash,
-    pure_nash_profiles,
-)
-from repro.equilibria.fully_mixed import (
-    FullyMixedResult,
-    fully_mixed_candidate,
-    fully_mixed_nash,
-    has_fully_mixed_nash,
-)
-from repro.equilibria.game_graph import (
-    best_response_graph,
-    better_response_graph,
-    find_response_cycle,
-    sink_states,
-)
-from repro.equilibria.nashify import NashifyResult, nashify, nashify_common_beliefs
-from repro.equilibria.potential import (
-    exact_potential_cycle_gap,
-    has_better_response_cycle,
-    ordinal_potential_symmetric,
-    weighted_potential_common_beliefs,
-)
-from repro.equilibria.fixpoint import FixpointSolution, fixpoint_mixed_nash
-from repro.equilibria.solve import solve_pure_nash
-from repro.equilibria.structure import EquilibriumSet, equilibrium_set
-from repro.equilibria.support_enum import enumerate_mixed_nash
-from repro.equilibria.symmetric import asymmetric
-from repro.equilibria.two_links import atwolinks, tolerances
-from repro.equilibria.uniform import auniform
+from repro._lazy import attach
 
-__all__ = [
-    "best_epsilon_pure",
-    "epsilon_mixed",
-    "epsilon_pure",
-    "rounded_fully_mixed",
-    "NashifyResult",
-    "nashify",
-    "nashify_common_beliefs",
-    "ordinal_potential_symmetric",
-    "EquilibriumSet",
-    "equilibrium_set",
-    "DynamicsResult",
-    "best_response_dynamics",
-    "best_responses",
-    "better_response_dynamics",
-    "deviation_gains",
-    "epsilon_of_profile",
-    "is_mixed_nash",
-    "is_pure_nash",
-    "mixed_regrets",
-    "pure_regrets",
-    "count_pure_nash",
-    "exists_pure_nash",
-    "pure_nash_profiles",
-    "FullyMixedResult",
-    "fully_mixed_candidate",
-    "fully_mixed_nash",
-    "has_fully_mixed_nash",
-    "best_response_graph",
-    "better_response_graph",
-    "find_response_cycle",
-    "sink_states",
-    "exact_potential_cycle_gap",
-    "has_better_response_cycle",
-    "weighted_potential_common_beliefs",
-    "solve_pure_nash",
-    "enumerate_mixed_nash",
-    "FixpointSolution",
-    "fixpoint_mixed_nash",
-    "asymmetric",
-    "atwolinks",
-    "tolerances",
-    "auniform",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.equilibria.approximate": (
+            "best_epsilon_pure",
+            "epsilon_mixed",
+            "epsilon_pure",
+            "rounded_fully_mixed",
+        ),
+        "repro.equilibria.best_response": (
+            "DynamicsResult",
+            "best_response_dynamics",
+            "best_responses",
+            "better_response_dynamics",
+        ),
+        "repro.equilibria.conditions": (
+            "deviation_gains",
+            "epsilon_of_profile",
+            "is_mixed_nash",
+            "is_pure_nash",
+            "mixed_regrets",
+            "pure_regrets",
+        ),
+        "repro.equilibria.enumeration": (
+            "count_pure_nash",
+            "exists_pure_nash",
+            "pure_nash_profiles",
+        ),
+        "repro.equilibria.fixpoint": ("FixpointSolution", "fixpoint_mixed_nash"),
+        "repro.equilibria.fully_mixed": (
+            "FullyMixedResult",
+            "fully_mixed_candidate",
+            "fully_mixed_nash",
+            "has_fully_mixed_nash",
+        ),
+        "repro.equilibria.game_graph": (
+            "best_response_graph",
+            "better_response_graph",
+            "find_response_cycle",
+            "sink_states",
+        ),
+        "repro.equilibria.nashify": (
+            "NashifyResult",
+            "nashify",
+            "nashify_common_beliefs",
+        ),
+        "repro.equilibria.potential": (
+            "exact_potential_cycle_gap",
+            "has_better_response_cycle",
+            "ordinal_potential_symmetric",
+            "weighted_potential_common_beliefs",
+        ),
+        "repro.equilibria.solve": ("solve_pure_nash",),
+        "repro.equilibria.structure": ("EquilibriumSet", "equilibrium_set"),
+        "repro.equilibria.support_enum": ("enumerate_mixed_nash",),
+        "repro.equilibria.symmetric": ("asymmetric",),
+        "repro.equilibria.two_links": ("atwolinks", "tolerances"),
+        "repro.equilibria.uniform": ("auniform",),
+    },
+)
+
+# ``nashify`` is both a submodule and the function it defines. Loading a
+# submodule sets the package attribute of its name to the module, which
+# would replace a lazily bound function, so the function is bound now,
+# with the submodule loaded.
+nashify = __getattr__("nashify")

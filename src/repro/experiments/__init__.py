@@ -1,7 +1,16 @@
 """Experiment runners E1-E13: each regenerates one paper artefact
 (figure/algorithm or theorem claim) and reports a pass/fail verdict."""
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro._lazy import attach
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "get_experiment", "run_experiment"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.experiments.base": ("ExperimentResult",),
+        "repro.experiments.registry": (
+            "EXPERIMENTS",
+            "get_experiment",
+            "run_experiment",
+        ),
+    },
+)

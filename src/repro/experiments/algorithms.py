@@ -37,7 +37,9 @@ from repro.batch.pure import (
 )
 from repro.experiments.base import ExperimentResult
 from repro.generators.suites import GridCell
-from repro.runtime import ResultStore, SweepSpec, run_sweep
+from repro.runtime.scheduler import run_sweep
+from repro.runtime.spec import SweepSpec
+from repro.runtime.store import ResultStore
 from repro.util.parallel import ReplicationChunk
 from repro.util.tables import Table
 

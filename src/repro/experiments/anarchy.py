@@ -21,7 +21,9 @@ from repro.analysis.poa import poa_study, poa_sweep_spec
 from repro.errors import SolverError
 from repro.experiments.base import ExperimentResult
 from repro.generators.suites import GridCell, poa_grid
-from repro.runtime import ResultStore, SweepSpec, run_sweep
+from repro.runtime.scheduler import run_sweep
+from repro.runtime.spec import SweepSpec
+from repro.runtime.store import ResultStore
 from repro.substrates.milchtaich import (
     canonical_counterexample,
     multiplicative_pne_hits,

@@ -46,7 +46,9 @@ from repro.generators.suites import (
     conjecture_grid,
     quick_conjecture_grid,
 )
-from repro.runtime import ResultStore, SweepSpec, run_sweep
+from repro.runtime.scheduler import run_sweep
+from repro.runtime.spec import SweepSpec
+from repro.runtime.store import ResultStore
 from repro.util.parallel import ReplicationChunk
 from repro.util.rng import as_generator, stable_seed
 from repro.util.tables import Table

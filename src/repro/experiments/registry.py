@@ -1,4 +1,8 @@
-"""Registry mapping experiment ids to runners and sweep metadata."""
+"""Registry mapping experiment ids to runners and sweep metadata.
+
+Importing the registry imports every runner and all they call, so an
+experiment that has started imports nothing: its time is its work.
+"""
 
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from repro.experiments.mixed import (
     e7_specs, e8_specs, e9_specs,
     run_e7, run_e8, run_e9,
 )
-from repro.runtime import SweepSpec
+from repro.runtime.spec import SweepSpec
 
 __all__ = [
     "EXPERIMENTS",

@@ -6,32 +6,25 @@ instances of a cell in one RNG pass) is re-exported from
 :mod:`repro.batch.generator`.
 """
 
-from repro.batch.generator import random_game_batch
-from repro.generators.games import (
-    random_game,
-    random_kp_game,
-    random_symmetric_game,
-    random_two_link_game,
-    random_uniform_beliefs_game,
-    random_weights,
-)
-from repro.generators.suites import (
-    conjecture_grid,
-    poa_grid,
-    scaling_sizes,
-    small_verification_grid,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "random_game",
-    "random_game_batch",
-    "random_kp_game",
-    "random_symmetric_game",
-    "random_two_link_game",
-    "random_uniform_beliefs_game",
-    "random_weights",
-    "conjecture_grid",
-    "poa_grid",
-    "scaling_sizes",
-    "small_verification_grid",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.batch.generator": ("random_game_batch",),
+        "repro.generators.games": (
+            "random_game",
+            "random_kp_game",
+            "random_symmetric_game",
+            "random_two_link_game",
+            "random_uniform_beliefs_game",
+            "random_weights",
+        ),
+        "repro.generators.suites": (
+            "conjecture_grid",
+            "poa_grid",
+            "scaling_sizes",
+            "small_verification_grid",
+        ),
+    },
+)

@@ -1,65 +1,43 @@
 """Model layer: states, beliefs, games, latencies, profiles, social cost."""
 
-from repro.model.beliefs import (
-    Belief,
-    BeliefProfile,
-    common_belief_profile,
-    dirichlet_belief,
-    point_mass_belief,
-    uniform_belief,
-)
-from repro.model.game import UncertainRoutingGame
-from repro.model.latency import (
-    expected_link_latencies,
-    min_expected_latencies,
-    mixed_latency_matrix,
-    pure_latencies,
-    pure_latency_of_user,
-)
-from repro.model.profiles import (
-    MixedProfile,
-    PureProfile,
-    loads_of,
-    profile_from_support_sets,
-    pure_to_mixed,
-)
-from repro.model.social import (
-    OptimumResult,
-    coordination_ratios,
-    opt1,
-    opt2,
-    optimum,
-    sc1,
-    sc2,
-    social_costs_of_pure,
-)
-from repro.model.state import StateSpace
+from repro._lazy import attach
 
-__all__ = [
-    "Belief",
-    "BeliefProfile",
-    "common_belief_profile",
-    "dirichlet_belief",
-    "point_mass_belief",
-    "uniform_belief",
-    "UncertainRoutingGame",
-    "expected_link_latencies",
-    "min_expected_latencies",
-    "mixed_latency_matrix",
-    "pure_latencies",
-    "pure_latency_of_user",
-    "MixedProfile",
-    "PureProfile",
-    "loads_of",
-    "profile_from_support_sets",
-    "pure_to_mixed",
-    "OptimumResult",
-    "coordination_ratios",
-    "opt1",
-    "opt2",
-    "optimum",
-    "sc1",
-    "sc2",
-    "social_costs_of_pure",
-    "StateSpace",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.model.beliefs": (
+            "Belief",
+            "BeliefProfile",
+            "common_belief_profile",
+            "dirichlet_belief",
+            "point_mass_belief",
+            "uniform_belief",
+        ),
+        "repro.model.game": ("UncertainRoutingGame",),
+        "repro.model.latency": (
+            "expected_link_latencies",
+            "min_expected_latencies",
+            "mixed_latency_matrix",
+            "pure_latencies",
+            "pure_latency_of_user",
+        ),
+        "repro.model.profiles": (
+            "MixedProfile",
+            "PureProfile",
+            "loads_of",
+            "profile_from_support_sets",
+            "pure_to_mixed",
+        ),
+        "repro.model.social": (
+            "OptimumResult",
+            "coordination_ratios",
+            "opt1",
+            "opt2",
+            "optimum",
+            "sc1",
+            "sc2",
+            "social_costs_of_pure",
+        ),
+        "repro.model.state": ("StateSpace",),
+    },
+)

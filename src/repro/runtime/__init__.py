@@ -32,32 +32,23 @@ delegates execution here; the CLI's ``--jobs``/``--batch-size``/
 ``digest`` subcommands in the store-layer functions.
 """
 
-from repro.runtime.scheduler import SweepResult, run_sweep
-from repro.runtime.spec import ShardPlan, SweepSpec
-from repro.runtime.store import (
-    MergeResult,
-    ResultStore,
-    canonical_dumps,
-    canonical_loads,
-    canonical_payload,
-    canonical_record_digest,
-    discover_shard_stores,
-    merge_shard_stores,
-    shard_store_path,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "MergeResult",
-    "ResultStore",
-    "ShardPlan",
-    "SweepResult",
-    "SweepSpec",
-    "canonical_dumps",
-    "canonical_loads",
-    "canonical_payload",
-    "canonical_record_digest",
-    "discover_shard_stores",
-    "merge_shard_stores",
-    "run_sweep",
-    "shard_store_path",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.runtime.scheduler": ("SweepResult", "run_sweep"),
+        "repro.runtime.spec": ("ShardPlan", "SweepSpec"),
+        "repro.runtime.store": (
+            "MergeResult",
+            "ResultStore",
+            "canonical_dumps",
+            "canonical_loads",
+            "canonical_payload",
+            "canonical_record_digest",
+            "discover_shard_stores",
+            "merge_shard_stores",
+            "shard_store_path",
+        ),
+    },
+)

@@ -50,7 +50,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence, Union
 
 from repro.errors import StoreError, StoreMergeError
 
@@ -197,6 +197,15 @@ def _parse_record(line: bytes) -> dict[str, Any] | None:
     return record if "payload" in record else None
 
 
+def _is_torn(line: bytes) -> bool:
+    """Whether an unterminated final *line* is what a kill mid-write leaves.
+
+    Every record line begins with ``{``, so a torn one does too; a blank
+    tail holds nothing. Any other unterminated line is not a store's.
+    """
+    return line.startswith(b"{") or not line.strip()
+
+
 class ResultStore:
     """An append-only JSONL file of per-chunk campaign results."""
 
@@ -223,23 +232,37 @@ class ResultStore:
             int(record["rep_hi"]),
         )
 
+    def _open(self) -> BinaryIO | None:
+        """The store file, open for reading; ``None`` if it does not exist.
+
+        A path that cannot be read as a file (a directory, say) raises
+        :class:`~repro.errors.StoreError`.
+        """
+        try:
+            return self.path.open("rb")
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StoreError(
+                f"{self.path}: cannot read the store: {exc.strerror}"
+            ) from exc
+
     def iter_records(self) -> Iterator[dict[str, Any]]:
         """Stored chunk records in file order. Reading never writes.
 
         A kill that lands between the final record and its newline
         leaves a valid unterminated line, which is kept; a kill mid-write
-        leaves a torn final fragment, which is skipped. So no reader
-        (resume, merge, digest) loses a shard's last record or trips
-        over a fragment, and the file keeps its bytes until a resume or
-        an append heals it (:meth:`repair_tail`). Any other non-blank
-        line that is not a chunk record raises
+        leaves a torn final fragment beginning with ``{``, which is
+        skipped. So no reader (resume, merge, digest) loses a shard's
+        last record or trips over a fragment, and the file keeps its
+        bytes until a resume or an append heals it (:meth:`repair_tail`).
+        Any other non-blank line that is not a chunk record raises
         :class:`~repro.errors.StoreError` naming the file and line.
         Duplicate keys are *not* collapsed here — :meth:`load_records`
         layers last-wins on top.
         """
-        try:
-            fh = self.path.open("rb")
-        except FileNotFoundError:
+        fh = self._open()
+        if fh is None:
             return
         with fh:
             for number, line in enumerate(fh, start=1):
@@ -247,8 +270,8 @@ class ResultStore:
                     continue
                 record = _parse_record(line)
                 if record is None:
-                    if not line.endswith(b"\n"):
-                        return  # a torn final fragment
+                    if not line.endswith(b"\n") and _is_torn(line):
+                        return
                     raise StoreError(f"{self.path}, line {number}: not a chunk record")
                 yield record
 
@@ -280,9 +303,12 @@ class ResultStore:
         onto the fragment, making *both* unparseable forever. If the
         unterminated tail is itself a valid record (the kill landed
         between write and newline), terminate it so the record is kept;
-        otherwise drop the fragment so the chunk's recomputed record
-        lands on a clean line — which also restores the byte-identity of
-        a resumed store with an uninterrupted run.
+        if it is a torn fragment (it begins with ``{``, as every record
+        does), drop it so the chunk's recomputed record lands on a clean
+        line — which also restores the byte-identity of a resumed store
+        with an uninterrupted run. Any other tail means the file is not
+        a store: :class:`~repro.errors.StoreError` is raised and the
+        file keeps its bytes.
 
         Called before every append, and by the scheduler at the start of
         a resume: a kill that lands exactly between the final record and
@@ -291,9 +317,8 @@ class ResultStore:
         be healed up front, not lazily on the next write. Readers never
         call it.
         """
-        try:
-            fh = self.path.open("rb")
-        except FileNotFoundError:
+        fh = self._open()
+        if fh is None:
             return
         with fh:
             fh.seek(0, 2)
@@ -308,12 +333,17 @@ class ResultStore:
         # Only a damaged tail opens the file for writing, so a healthy
         # read-only store still resumes.
         newline_at = data.rfind(b"\n")
+        tail = data[newline_at + 1 :]
+        complete = _parse_record(tail) is not None
+        if not complete and not _is_torn(tail):
+            number = data.count(b"\n") + 1
+            raise StoreError(f"{self.path}, line {number}: not a chunk record")
         with self.path.open("r+b") as fh:
-            if _parse_record(data[newline_at + 1 :]) is None:
-                fh.truncate(newline_at + 1)
-            else:
+            if complete:
                 fh.seek(0, 2)
                 fh.write(b"\n")
+            else:
+                fh.truncate(newline_at + 1)
 
     def append(self, record: dict[str, Any]) -> None:
         """Append one chunk record (creates parent directories lazily)."""
@@ -446,6 +476,8 @@ def merge_shard_stores(
         raise StoreMergeError("no shard stores to merge")
     dest_store = ResultStore.coerce(dest)
     assert dest_store is not None
+    if dest_store.path.is_dir():
+        raise StoreMergeError(f"merge destination {dest_store.path} is a directory")
     for shard in shard_stores:
         if shard.path.resolve() == dest_store.path.resolve():
             raise StoreMergeError(

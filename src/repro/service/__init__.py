@@ -30,29 +30,22 @@ to the wire (``tests/test_service.py`` pins it differentially, cache
 hits and mixed-shape concurrent loads included).
 """
 
-from repro.service.batcher import DEFAULT_MAX_DELAY_MS, DynamicBatcher
-from repro.service.cache import ResultCache
-from repro.service.client import ServiceClient
-from repro.service.query import (
-    MAX_SERVICE_PROFILES,
-    EquilibriumRequest,
-    RequestError,
-    game_digest,
-    solve_fixpoint_requests,
-    solve_requests,
-)
-from repro.service.server import EquilibriumServer
+from repro._lazy import attach
 
-__all__ = [
-    "DEFAULT_MAX_DELAY_MS",
-    "MAX_SERVICE_PROFILES",
-    "DynamicBatcher",
-    "EquilibriumRequest",
-    "EquilibriumServer",
-    "RequestError",
-    "ResultCache",
-    "ServiceClient",
-    "game_digest",
-    "solve_fixpoint_requests",
-    "solve_requests",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.service.batcher": ("DEFAULT_MAX_DELAY_MS", "DynamicBatcher"),
+        "repro.service.cache": ("ResultCache",),
+        "repro.service.client": ("ServiceClient",),
+        "repro.service.query": (
+            "MAX_SERVICE_PROFILES",
+            "EquilibriumRequest",
+            "RequestError",
+            "game_digest",
+            "solve_fixpoint_requests",
+            "solve_requests",
+        ),
+        "repro.service.server": ("EquilibriumServer",),
+    },
+)

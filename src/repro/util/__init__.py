@@ -1,29 +1,19 @@
 """Shared utilities: RNG handling, validation, table rendering, timing,
 chunked process-pool execution."""
 
-from repro.util.parallel import chunk_ranges, resolve_jobs, run_tasks
-from repro.util.rng import as_generator, spawn_generators, stable_seed
-from repro.util.tables import Table, format_float
-from repro.util.timing import ScalingFit, fit_power_law, time_callable
-from repro.util.validation import (
-    check_positive_array,
-    check_probability_matrix,
-    check_probability_vector,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "chunk_ranges",
-    "resolve_jobs",
-    "run_tasks",
-    "as_generator",
-    "spawn_generators",
-    "stable_seed",
-    "Table",
-    "format_float",
-    "ScalingFit",
-    "fit_power_law",
-    "time_callable",
-    "check_positive_array",
-    "check_probability_matrix",
-    "check_probability_vector",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.util.parallel": ("chunk_ranges", "resolve_jobs", "run_tasks"),
+        "repro.util.rng": ("as_generator", "spawn_generators", "stable_seed"),
+        "repro.util.tables": ("Table", "format_float"),
+        "repro.util.timing": ("ScalingFit", "fit_power_law", "time_callable"),
+        "repro.util.validation": (
+            "check_positive_array",
+            "check_probability_matrix",
+            "check_probability_vector",
+        ),
+    },
+)

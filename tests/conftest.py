@@ -1,6 +1,12 @@
-"""Shared fixtures: canonical small games used across the suite."""
+"""Shared fixtures: canonical small games used across the suite, and a
+fresh interpreter for checks of what a process imports."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,3 +55,27 @@ def uniform_beliefs_game() -> UncertainRoutingGame:
     """Four users who each believe all three links equally fast."""
     caps = np.repeat(np.array([[1.0], [2.0], [0.5], [1.5]]), 3, axis=1)
     return UncertainRoutingGame.from_capacities([3.0, 2.0, 2.0, 1.0], caps)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a fresh interpreter on ``src/``; returns its stdout.
+
+    For checks of what a process imports, which this one, having run
+    other tests, cannot show.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(script: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

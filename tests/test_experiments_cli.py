@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import os
+import json
 import socket
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -103,8 +100,51 @@ class TestQuickRunners:
         assert "PASS" in result.render()
 
 
+#: Answers two requests through a ``serve`` started by ``main``, then
+#: prints the ``repro`` and ``numpy`` modules loaded when the readiness
+#: line was printed, and those loaded after it.
+SERVE_SCRIPT = """
+import builtins, json, socket, sys, threading
+from repro.cli import main
+
+def ours():
+    return {m for m in sys.modules if m.partition(".")[0] in ("repro", "numpy")}
+
+seen, ready, real_print = {}, threading.Event(), builtins.print
+
+def spy(*args, **kwargs):
+    real_print(*args, **kwargs)
+    if args and str(args[0]).startswith("serving equilibria on "):
+        seen["modules"] = ours()
+        seen["port"] = int(str(args[0]).split()[3].rpartition(":")[2])
+        ready.set()
+
+def client():
+    assert ready.wait(60)
+    game = '"weights": [1.0, 2.0], "capacities": [[1.0, 2.0], [2.0, 1.0]]'
+    with socket.create_connection(("127.0.0.1", seen["port"]), timeout=60) as sock:
+        replies = sock.makefile("rb")
+        for op in ("solve", "fixpoint", "shutdown"):
+            sock.sendall(('{"op": "%s", "id": 1, %s}\\n' % (op, game)).encode())
+            seen.setdefault("replies", []).append(json.loads(replies.readline()))
+
+builtins.print = spy
+thread = threading.Thread(target=client, daemon=True)
+thread.start()
+assert main(["serve", "--port", "0"]) == 0
+thread.join(60)
+assert not thread.is_alive()
+builtins.print = real_print
+print(json.dumps({
+    "ready": sorted(seen["modules"]),
+    "later": sorted(ours() - seen["modules"]),
+    "ok": [reply["ok"] for reply in seen["replies"]],
+}))
+"""
+
+
 class TestRuntimeImports:
-    def test_e6_imports_only_declared_dependencies(self):
+    def test_e6_imports_only_declared_dependencies(self, fresh_python):
         """The runtime loads no third-party distribution but numpy: not
         the CLI (what ``serve`` loads), not E4's and E6's game graphs and
         cycle searches (once a graph library), not E6's ordinal potential
@@ -126,18 +166,70 @@ class TestRuntimeImports:
             "new = after - before - {'repro'}\n"
             "print(' '.join(sorted({d for t in new for d in owners.get(t, ())})))\n"
         )
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        loaded = set(fresh_python(script).split())
         assert loaded <= {"numpy"}
+
+    def test_serve_loads_the_service_and_its_kernels_only(self, fresh_python):
+        """``serve`` loads no experiment, no single-game view and no
+        analysis: only the service, the batch kernels it calls and the
+        store's codecs. It loads all of them, NumPy included, before it
+        prints its readiness line, so a request pays no import."""
+        result = json.loads(fresh_python(SERVE_SCRIPT).splitlines()[-1])
+        assert result["ok"] == [True, True, True]
+        ready = set(result["ready"])
+        for prefix in ("experiments", "equilibria", "analysis", "model"):
+            assert not {m for m in ready if m.startswith(f"repro.{prefix}")}
+        assert {
+            "numpy",
+            "repro.batch.fixpoint",
+            "repro.batch.poa",
+            "repro.batch.pure",
+            "repro.service.query",
+        } <= ready
+        assert len({m for m in ready if m.startswith("repro")}) <= 25
+        assert result["later"] == []
+
+    @pytest.mark.parametrize("command", ["import", "digest", "merge"])
+    def test_store_commands_load_no_numpy(self, command, tmp_path, fresh_python):
+        """``import repro`` loads no subpackage; ``digest`` and ``merge``
+        read and write stores with the stdlib alone."""
+        record = (
+            '{"experiment": "RT", "label": "x", "m": 2, "n": 2, '
+            '"payload": 1, "rep_hi": 4, "rep_lo": 0}\n'
+        )
+        (tmp_path / "s.shard-0.jsonl").write_text(record)
+        argv = {
+            "import": None,
+            "digest": ["digest", str(tmp_path / "s.shard-0.jsonl")],
+            "merge": ["merge", "--store", str(tmp_path / "s.jsonl")],
+        }[command]
+        script = (
+            "import sys\n"
+            "import repro\n"
+            + ("" if argv is None else
+               f"from repro.cli import main\nassert main({argv!r}) == 0\n")
+            + "print(sorted(m for m in sys.modules if m.startswith(('repro', 'numpy'))))\n"
+        )
+        loaded = fresh_python(script).splitlines()[-1]
+        assert "numpy" not in loaded
+        if argv is None:
+            assert loaded == "['repro', 'repro._lazy']"
+
+    def test_campaign_runs_import_nothing(self, tmp_path, fresh_python):
+        """Importing the registry loads every runner and what it calls,
+        so a campaign's timed runs (perfbench's ``campaign`` workload
+        starts each clock after that import) import no module."""
+        script = (
+            "import sys\n"
+            "from repro.experiments.registry import run_experiment\n"
+            "before = set(sys.modules)\n"
+            "for eid in ('E5', 'E6', 'E9', 'E11', 'E13'):\n"
+            f"    result = run_experiment(eid, quick=True, batch_size=8, "
+            f"store={str(tmp_path / 's.jsonl')!r})\n"
+            "    assert result.passed, eid\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        assert fresh_python(script).splitlines()[-1] == "[]"
 
 
 class TestCli:
@@ -320,6 +412,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"run: {path}, line 1: not a chunk record\n"
         assert path.read_text() == '{"x": 1}\n'
+
+    @pytest.mark.parametrize("command", ["run", "run --resume", "report"])
+    def test_a_directory_store_is_one_line(self, command, tmp_path, capsys):
+        """As ``digest DIR`` does: one line and exit 2, no traceback."""
+        store = tmp_path / "d"
+        store.mkdir()
+        if command == "report":
+            argv = ["report", "-o", str(tmp_path / "r.md"), "--ids", "E5"]
+        else:
+            argv = ["run", "E5", *command.split()[1:]]
+        assert main([*argv, "--quick", "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        name = command.split()[0]
+        assert captured.err == (
+            f"{name}: {store}: cannot read the store: Is a directory\n"
+        )
+        assert list(store.iterdir()) == []
+
+    @pytest.mark.parametrize("resume", [[], ["--resume"]])
+    def test_a_file_that_is_not_a_store_keeps_its_bytes(
+        self, resume, tmp_path, capsys
+    ):
+        """An unterminated line that is not a torn record is refused, not
+        truncated away as one."""
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"my precious notes, not a store")
+        argv = ["run", "E5", "--quick", "--store", str(notes), *resume]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"run: {notes}, line 1: not a chunk record\n"
+        assert notes.read_bytes() == b"my precious notes, not a store"
 
 
 class TestServeFlags:

@@ -227,3 +227,63 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exc:
             perf_ab.main([str(parent_dir), str(change_dir), *extra])
         assert exc.value.code == 2
+
+
+class TestBytecodeState:
+    """Both checkouts run with no bytecode: every cache under ``src/``
+    and ``perfbench/`` is cleared before the first pair, and the runs
+    write none."""
+
+    @staticmethod
+    def _caches(checkout):
+        made = []
+        for rel in ("src/repro", "src/repro/batch", "perfbench", "tests"):
+            cache = checkout / rel / "__pycache__"
+            cache.mkdir(parents=True)
+            (cache / "m.cpython-311.pyc").write_bytes(b"stale")
+            made.append(cache)
+        return made
+
+    def test_clears_every_cache_under_src_and_perfbench(self, tmp_path):
+        src_repro, src_batch, perfbench, tests = self._caches(tmp_path)
+        assert perf_ab.clear_bytecode(tmp_path) == 3
+        assert not src_repro.exists() and not src_batch.exists()
+        assert not perfbench.exists()
+        assert tests.is_dir()  # outside the program and the benchmark
+        assert (tmp_path / "src" / "repro").is_dir()
+        assert perf_ab.clear_bytecode(tmp_path) == 0
+
+    def test_runs_write_no_bytecode(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_subprocess_run(argv, *, cwd, env, **kwargs):
+            seen.update(cwd=cwd, env=env)
+            record = {"fingerprint": {"commit": "c"}}
+            result = _runs([1.0])[0]
+            stdout = f"record: {json.dumps(record)}\n{json.dumps(result)}\n"
+            return perf_ab.subprocess.CompletedProcess(argv, 0, stdout, "")
+
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+        monkeypatch.setattr(perf_ab.subprocess, "run", fake_subprocess_run)
+        result = perf_ab.run_once(tmp_path, "campaign", 1, 25)
+        assert result["fingerprint"] == {"commit": "c"}
+        assert seen["cwd"] == tmp_path
+        assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+    def test_both_sides_are_cleared_before_the_first_pair(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        parent_dir, change_dir = _checkouts(tmp_path)
+        self._caches(parent_dir)
+
+        def fake_run(checkout, workload, seed, seconds):
+            for side in (parent_dir, change_dir):
+                assert not list(side.rglob("src/**/__pycache__"))
+                assert not list(side.rglob("perfbench/__pycache__"))
+            return {**_runs([1.0])[0], "fingerprint": {}}
+
+        monkeypatch.setattr(perf_ab, "run_once", fake_run)
+        perf_ab.main([str(parent_dir), str(change_dir), "--workload", "campaign",
+                      "--pairs", "1"])
+        out = capsys.readouterr().out
+        assert "__pycache__ directories cleared: parent 3, change 0" in out

@@ -186,6 +186,67 @@ class TestLoadRepairsTail:
         assert resumed.computed_chunks == 0
 
 
+class TestNotAStore:
+    """A path that holds no store is refused, one line, before anything
+    is written: a directory, or a file whose unterminated last line is
+    not a torn record (every record line begins with ``{``)."""
+
+    NOTES = b"my precious notes, not a store"
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_a_note_keeps_its_bytes(self, tmp_path, resume):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(self.NOTES)
+        with pytest.raises(StoreError) as excinfo:
+            run_sweep(_spec(), batch_size=2, store=path, resume=resume)
+        assert str(excinfo.value) == f"{path}, line 1: not a chunk record"
+        assert path.read_bytes() == self.NOTES
+
+    def test_a_note_after_the_records_is_refused(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_sweep(_spec(), batch_size=2, store=path)
+        damaged = path.read_bytes() + b"notes"
+        path.write_bytes(damaged)
+        store = ResultStore(path)
+        for call in (store.load_records, store.repair_tail):
+            with pytest.raises(StoreError, match="line 8: not a chunk record"):
+                call()
+        assert path.read_bytes() == damaged
+
+    def test_a_blank_tail_is_dropped(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        run_sweep(_spec(), batch_size=2, store=path)
+        healthy = path.read_bytes()
+        path.write_bytes(healthy + b" \t")
+        assert len(ResultStore(path).load_records()) == 7
+        ResultStore(path).repair_tail()
+        assert path.read_bytes() == healthy
+
+    def test_a_directory_is_refused_by_readers_and_writers(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for call in (
+            store.load_records,
+            store.repair_tail,
+            lambda: store.append(TestLoadRepairsTail.RECORD),
+        ):
+            with pytest.raises(StoreError) as excinfo:
+                call()
+            assert str(excinfo.value).startswith(
+                f"{tmp_path}: cannot read the store: "
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_merge_into_a_directory_is_refused(self, tmp_path):
+        shard = tmp_path / "s.shard-0.jsonl"
+        run_sweep(_spec(), batch_size=2, store=shard)
+        dest = tmp_path / "out"
+        dest.mkdir()
+        with pytest.raises(StoreError, match="is a directory"):
+            merge_shard_stores([shard], dest, force=True)
+        assert list(dest.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", shard.name]
+
+
 class TestReadersNeverWrite:
     """``digest`` and ``merge`` read a torn store without touching it."""
 

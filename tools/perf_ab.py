@@ -25,7 +25,14 @@ pairs the change won, and the verdict against the metric's bound:
   run.
 
 A larger share of failed operations on the change's side is a
-``regression`` too, and it voids every gain. Usage, from anywhere::
+``regression`` too, and it voids every gain.
+
+Both checkouts run in the same bytecode state: before the first pair,
+every ``__pycache__`` directory under their ``src/`` and ``perfbench/``
+is deleted (the tool prints how many on each side), and every run has
+``PYTHONDONTWRITEBYTECODE=1``. So each process start compiles the
+modules it imports, on both sides alike; a stale cache on one side
+once read as a 15% ``setup_s`` difference. Usage, from anywhere::
 
     python3 tools/perf_ab.py PARENT_DIR CHANGE_DIR --workload campaign \\
         [--pairs 10] [--first-seed 1] [--record FILE]
@@ -45,6 +52,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +61,28 @@ from pathlib import Path
 
 #: Share of pairs the change must win for a gain (9 of 10).
 GAIN_WIN_SHARE = 0.9
+#: The directories of a checkout whose bytecode caches are cleared.
+BYTECODE_ROOTS = ("src", "perfbench")
+
+
+def clear_bytecode(checkout: Path) -> int:
+    """Delete every ``__pycache__`` directory under *checkout*'s
+    :data:`BYTECODE_ROOTS`; returns how many there were."""
+    caches = [
+        cache
+        for root in BYTECODE_ROOTS
+        for cache in (checkout / root).rglob("__pycache__")
+        if cache.is_dir()
+    ]
+    for cache in caches:
+        shutil.rmtree(cache)
+    return len(caches)
+
+
+def run_env() -> dict[str, str]:
+    """The environment of every benchmark run: this one, writing no
+    bytecode."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -60,7 +91,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False,
+        cwd=checkout, env=run_env(), capture_output=True, text=True,
+        check=False,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -197,6 +229,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
     seconds = benchmark["run_seconds"]
+    cleared = {
+        side: clear_bytecode(checkout)
+        for side, checkout in (("parent", args.parent), ("change", args.change))
+    }
+    print(f"__pycache__ directories cleared: parent {cleared['parent']}, "
+          f"change {cleared['change']}; runs write no bytecode")
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     try:
         for i in range(args.pairs):
