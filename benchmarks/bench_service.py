@@ -22,8 +22,11 @@ per-request latency percentiles ride along in the report line and the
 batcher sees it, decoding its line and
 :meth:`EquilibriumRequest.from_payload`, against the NumPy parser
 ``tests/request_oracle.py`` keeps (decoding with ``json.loads``). It
-reports microseconds per request and asserts only that the digests
-agree.
+also times a cache hit through the server's ``_dispatch``, line in and
+reply out: an ``id``-first line the request memo answers, against the
+same game sent ``op`` first, which takes the parse path. It reports
+microseconds per request and asserts only that the digests, and the
+two paths' replies apart from the ``id``, agree.
 
 ``test_census_per_stack`` times what every flush pays once per shape:
 one ``solve`` stack answered by ``_answer_census``, at ``B = 1`` (a
@@ -46,7 +49,12 @@ from repro.batch.container import GameBatch
 from repro.batch.mixed import batch_fully_mixed_candidate
 from repro.batch.poa import batch_empirical_ratios
 from repro.runtime.store import canonical_loads
-from repro.service import DynamicBatcher, EquilibriumRequest, solve_requests
+from repro.service import (
+    DynamicBatcher,
+    EquilibriumRequest,
+    EquilibriumServer,
+    solve_requests,
+)
 from repro.service.query import _answer_census, _nashify_records
 from repro.util.rng import stable_seed
 
@@ -174,7 +182,9 @@ def _request_lines(count: int = 256) -> list[bytes]:
 
 
 def test_request_front_end(report):
-    """Decode + ``from_payload`` per request line; no timing gate."""
+    """Decode + ``from_payload`` per request line, and a cache hit
+    through ``_dispatch`` with and without the request memo; no timing
+    gate."""
     lines = _request_lines()
 
     def front_end(parse, decode):
@@ -190,11 +200,59 @@ def test_request_front_end(report):
 
     new = per_request_us(EquilibriumRequest.from_payload, canonical_loads)
     old = per_request_us(OracleRequest.from_payload, json.loads)
+    memo, parsed = asyncio.run(_cache_hit_us(lines))
     report.append(
         f"[service] request front end over shapes {SHAPES}: decode + "
         f"from_payload {new:.1f} us/request (NumPy reference parser "
-        f"{old:.1f} us)"
+        f"{old:.1f} us); a cache hit through _dispatch {memo:.1f} us "
+        f"id-first (request memo) against {parsed:.1f} us op-first "
+        f"(parse path)"
     )
+
+
+def _hit(server: EquilibriumServer, line: bytes) -> bytes:
+    """*line*'s reply through ``_dispatch``, which a cache hit returns
+    without yielding to the event loop."""
+    dispatch = server._dispatch(line)
+    try:
+        dispatch.send(None)
+    except StopIteration as done:
+        return done.value
+    dispatch.close()
+    raise AssertionError(f"not a cache hit: {line[:40]!r}")
+
+
+async def _cache_hit_us(lines: list[bytes]) -> tuple[float, float]:
+    """Microseconds per cache hit through ``_dispatch``: the same games
+    sent ``id`` first, each line in the request memo, and *lines*
+    (``op`` first), which take the parse path."""
+    server = EquilibriumServer(port=0, cache_size=len(lines))
+    id_first = []
+    for index, line in enumerate(lines):
+        message = json.loads(line)
+        del message["id"]
+        id_first.append(b'{"id": %d, ' % index + json.dumps(message).encode()[1:])
+    for line in [*lines, *id_first]:  # solve each game, then memoise it
+        await server._dispatch(line)
+    assert server.stats()["memo"]["size"] == len(lines)
+
+    def apart_from_id(reply: bytes) -> bytes:
+        return reply[reply.index(b'"ok": ') :]
+
+    assert [apart_from_id(_hit(server, line)) for line in id_first] == [
+        apart_from_id(_hit(server, line)) for line in lines
+    ]
+
+    def per_hit_us(batch: list[bytes]) -> float:
+        best = min(
+            _timed(lambda: [_hit(server, line) for line in batch])
+            for _ in range(5)
+        )
+        return best / len(batch) * 1e6
+
+    memo, parsed = per_hit_us(id_first), per_hit_us(lines)
+    await server.close()
+    return memo, parsed
 
 
 def _best_us(fn, repeats: int = 100) -> float:

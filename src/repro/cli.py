@@ -33,13 +33,17 @@ Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
 verdict; the process exit code is non-zero when any experiment fails,
 making the CLI usable as a reproduction gate in CI. A store that cannot
 be read or resumed (a line that is not a chunk record, a record from
-another backend) is one line on stderr and exit code 2.
+another backend) is one line on stderr and exit code 2, and so is a
+``run`` or ``report`` without ``--resume`` into a store that is not
+empty (a ``--shard`` run checks its own shard file): such a run never
+reads its store, so it would append after whatever the file holds.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import Sequence
@@ -314,6 +318,28 @@ def _runtime_options(args: argparse.Namespace) -> dict:
     }
 
 
+def _refuse_a_written_store(store: str, shard) -> None:
+    """Raise :class:`StoreError` unless the file a run without
+    ``--resume`` would append to (*store*, or its *shard*'s file) is
+    missing or empty.
+
+    Such a run never reads its store. Appending after a note would
+    leave a file every later read refuses at line 1, and appending to a
+    finished store would write each chunk a second time. A line that is
+    not a chunk record is named as a read names it. Nothing is written
+    either way.
+    """
+    from repro.runtime.store import ResultStore, shard_store_path
+
+    path = store if shard is None else shard_store_path(store, shard.index)
+    records = sum(1 for _ in ResultStore(path).iter_records())
+    if os.path.isfile(path) and os.path.getsize(path):
+        raise StoreError(
+            f"{path} is not empty ({records} chunk record(s)); pass "
+            f"--resume to continue it, or name a new store"
+        )
+
+
 def _cmd_list() -> int:
     from repro.experiments.registry import EXPERIMENTS
 
@@ -522,6 +548,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         ids = None if args.ids is None else _experiment_ids(args.ids, parser)
     try:
+        if args.store and not args.resume:
+            _refuse_a_written_store(args.store, getattr(args, "shard", None))
         if args.command == "report":
             return _cmd_report(
                 args.output, args.quick, ids, **_runtime_options(args)

@@ -10,6 +10,9 @@ a bare :class:`~repro.service.batcher.DynamicBatcher` caches whatever
 its solver returns (response dicts, for the default seam), by
 reference.
 
+The same bounded LRU keys the server's request memo by line bytes
+(:mod:`repro.service.server`), with the cache size as its bound too.
+
 The cache is deliberately loop-confined: the service is a single
 asyncio event loop, so plain dict operations need no locking. Counters
 (`hits`/`misses`/`evictions`) feed the server's ``stats`` op and the CI
@@ -19,7 +22,7 @@ smoke gate.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Hashable
 
 __all__ = ["ResultCache"]
 
@@ -34,7 +37,7 @@ class ResultCache:
 
     def __init__(self, maxsize: int = 1024) -> None:
         self.maxsize = int(maxsize)
-        self._entries: OrderedDict[str, Any] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -42,7 +45,11 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, digest: str) -> Any | None:
+    def __contains__(self, digest: Hashable) -> bool:
+        """Whether *digest* is cached; counts nothing, moves nothing."""
+        return digest in self._entries
+
+    def get(self, digest: Hashable) -> Any | None:
         """The cached response for *digest*, or ``None`` on a miss."""
         entry = self._entries.get(digest)
         if entry is None:
@@ -52,7 +59,7 @@ class ResultCache:
         self.hits += 1
         return entry
 
-    def put(self, digest: str, response: Any) -> None:
+    def put(self, digest: Hashable, response: Any) -> None:
         """Insert (or refresh) a completed response."""
         if self.maxsize <= 0:
             return

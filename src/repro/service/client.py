@@ -83,7 +83,9 @@ class ServiceClient:
         for query in queries:
             self._next_id += 1
             ids.append(self._next_id)
-            message = {"op": "solve", "id": self._next_id, **query}
+            # The id goes first: a repeated game is then a line the
+            # server's request memo can answer without parsing it.
+            message = {"id": self._next_id, "op": "solve", **query}
             self._writer.write(
                 canonical_dumps(message).encode("utf-8") + b"\n"
             )

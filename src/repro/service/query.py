@@ -41,13 +41,15 @@ Validation: :meth:`EquilibriumRequest.from_payload` checks a decoded
 request once, in plain Python, and nothing downstream checks it again
 but :meth:`GameBatch.from_requests`' one stacked pass per window. A
 numeric field is a list (``capacities``, ``states`` and ``beliefs``: a
-list of equal-length lists) of elements ``float()`` reads — numbers,
-bools, numeric strings, as ``np.asarray(..., dtype=float64)`` reads
-them; ``None`` and integers past float range are refused — and every
-element must be finite. Then ``weights`` must match the capacity rows
-and ``initial_traffic`` the links, ``n, m >= 2``, weights and
+list of equal-length lists) of elements ``float()`` reads — numbers and
+numeric strings, as ``np.asarray(..., dtype=float64)`` reads them;
+``None``, booleans and integers past float range are refused — and
+every element must be finite. Then ``weights`` must match the capacity
+rows and ``initial_traffic`` the links, ``n, m >= 2``, weights and
 capacities must be positive, traffic non-negative, and a ``solve``
-query's ``m ** n`` at most :data:`MAX_SERVICE_PROFILES`. The request's
+query's ``m ** n`` at most :data:`MAX_SERVICE_PROFILES`. A ``-0.0``
+traffic entry is read as ``0.0``, so the digest and the solver see one
+game where the spelling differs only in a zero's sign. The request's
 read-only arrays are built once from the validated floats, and the
 digest reads them. The ``states`` + ``beliefs`` reduction is the one
 step left to NumPy: its row sum is pairwise past 8 states and its
@@ -168,13 +170,21 @@ def _is_sequence(value: Any) -> bool:
     )
 
 
+def _number(item: Any) -> float:
+    """*item* as ``float()`` reads it; a boolean is refused, where
+    ``float()`` would read ``true`` as 1.0."""
+    if type(item) is bool:
+        raise TypeError("booleans are not numbers")
+    return float(item)
+
+
 def _walk(value: Any, key: str, ndim: int) -> tuple[list, list]:
     """Field *key* as ``ndim``-deep nested lists of floats, and their
     elements in order, for any nesting of lists, tuples and arrays.
 
     Refuses *value* in the order ``np.asarray(value, dtype=float64)``
-    did: ragged nesting, then the first element ``float()`` refuses,
-    then the wrong depth.
+    did: ragged nesting, then the first element ``float()`` refuses (or
+    the first boolean), then the wrong depth.
     """
     shape: list[int] = []
     level = [value]
@@ -189,7 +199,7 @@ def _walk(value: Any, key: str, ndim: int) -> tuple[list, list]:
             f"{key!r} is ragged: its nested lists differ in length or depth"
         )
     try:
-        flat = [float(item) for item in level]
+        flat = [_number(item) for item in level]
     except (TypeError, ValueError, OverflowError) as exc:
         raise RequestError(f"{key!r} is not numeric: {exc}") from exc
     if len(shape) != ndim:
@@ -205,11 +215,11 @@ def _walk(value: Any, key: str, ndim: int) -> tuple[list, list]:
 def _field(value: Any, key: str, ndim: int) -> list:
     """Field *key* as ``ndim``-deep nested lists of finite floats.
 
-    ``float()`` reads each element, so ints, bools and numeric strings
-    count as numbers, as they do for ``np.asarray(value,
-    dtype=float64)``; ``None`` does not. A plain list of the right
-    depth, which is what a well-formed request decodes to, is read in
-    one pass; anything else goes through :func:`_walk`.
+    ``float()`` reads each element, so ints and numeric strings count as
+    numbers, as they do for ``np.asarray(value, dtype=float64)``;
+    ``None`` and booleans do not. A plain list of the right depth, which
+    is what a well-formed request decodes to, is read in one pass;
+    anything else, a boolean included, goes through :func:`_walk`.
     """
     try:
         if type(value) is not list:
@@ -217,12 +227,16 @@ def _field(value: Any, key: str, ndim: int) -> list:
         if ndim == 1:
             numbers = list(map(float, value))
             flat: Iterable[float] = numbers
+            if bool in map(type, value):
+                raise TypeError
         else:
             numbers = []
             for row in value:
                 if type(row) is not list:
                     raise TypeError
                 numbers.append(list(map(float, row)))
+                if bool in map(type, row):
+                    raise TypeError
             if len(set(map(len, numbers))) != 1:
                 raise TypeError
             flat = chain.from_iterable(numbers)
@@ -384,6 +398,9 @@ class EquilibriumRequest:
             )
         elif min(initial_traffic) < 0.0:
             raise RequestError("initial_traffic must be finite and non-negative")
+        else:
+            # -0.0 + 0.0 is 0.0; every other entry is unchanged.
+            initial_traffic = [entry + 0.0 for entry in initial_traffic]
         if check_width and m**n > MAX_SERVICE_PROFILES:
             raise RequestError(
                 f"game has {m}^{n} = {m**n} pure profiles; the service "

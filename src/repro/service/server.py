@@ -37,6 +37,22 @@ gets exactly one reply: malformed lines, lines longer than
 :data:`MAX_LINE_BYTES`, and ids that cannot be encoded produce
 ``{"ok": false, "error": ...}`` (without the ``id`` when it is the
 problem) instead of killing the connection.
+
+A repeated request skips decode and validation. A ``solve`` or
+``fixpoint`` line that starts ``{"id": <integer>, `` (at most
+:data:`MEMO_ID_DIGITS` digits, no leading zero) and repeats a game the
+op has already answered is looked up, by the exact bytes after that
+opening, in a bounded LRU memo of validated requests, and goes straight
+to its batcher, as the parsed request would. A line enters the memo
+only when it decoded and validated, its decoded ``id`` re-encodes to
+the opening, the rest of the line holds neither ``"id"`` nor a
+backslash (so no second, possibly escaped, ``id`` key can override the
+first), and the op's cache already holds its game; so a stream of
+distinct games never fills it. The memo holds at most ``cache_size``
+lines (``--cache-size 0`` turns it off too), each of at most
+:data:`MEMO_MAX_ENTRY_BYTES` of line bytes and request arrays, and
+``stats`` reports it as ``memo``. No reply byte changes: a memo hit
+takes the same cache, coalescing and error paths as a parsed request.
 """
 
 from __future__ import annotations
@@ -57,15 +73,38 @@ from repro.service.query import (
     solve_requests,
 )
 
-__all__ = ["EquilibriumServer", "MAX_LINE_BYTES"]
+__all__ = [
+    "EquilibriumServer",
+    "MAX_LINE_BYTES",
+    "MEMO_ID_DIGITS",
+    "MEMO_MAX_ENTRY_BYTES",
+]
 
 #: Longest request line read (the stream limit; newline excluded). A
 #: ``fixpoint`` query for a 300 x 30 game is ~181 KB, far past asyncio's
 #: 64 KiB default; a longer line is skipped and answered with an error.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
+#: Most digits of an ``id`` the request memo reads. Far below the
+#: decoder's integer digit limit (4,300 by default), so the memo never
+#: answers a line the decoder would refuse.
+MEMO_ID_DIGITS = 15
+
+#: Largest memo entry: the line's bytes after its ``id`` plus the
+#: validated request's three arrays. A line of 16 KiB can spell a
+#: ``fixpoint`` game far larger than itself (``link_capacities`` gives
+#: ``n * m`` capacities from ``n + m`` numbers), so the arrays count
+#: too. Every ``solve`` game of up to about 500 capacity entries fits.
+#: With about 750 bytes of Python objects per entry, the memo holds at
+#: most about 17 MiB at the default ``cache_size`` of 1,024; for the
+#: small games of perfbench's serve mix an entry takes about 1.2 KB,
+#: against 1.05 KB for the same game's cached response.
+MEMO_MAX_ENTRY_BYTES = 16 * 1024
+
 #: The opening of a reply that carries no ``id``.
 _NO_ID = b"{"
+#: The opening of a line the request memo may answer.
+_ID_OPENING = b'{"id": '
 
 
 def _encoding(
@@ -87,6 +126,44 @@ def _reply(head: bytes, body: dict[str, Any]) -> bytes:
     """A reply line: *head* (``{`` plus the encoded ``id``, if any),
     then the encoded fields of *body*."""
     return head + canonical_dumps(body).encode("utf-8")[1:] + b"\n"
+
+
+def _failure(head: bytes, exc: Exception) -> bytes:
+    """The reply to a refused request or a failed solve."""
+    if isinstance(exc, RequestError):
+        return _reply(head, {"ok": False, "error": str(exc)})
+    return _reply(head, {"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+
+
+async def _answer(
+    head: bytes, request: EquilibriumRequest, batcher: DynamicBatcher
+) -> bytes:
+    """The reply to a validated request: its batcher's result, or the
+    error the batcher raised (a closed batcher, a failed solve)."""
+    try:
+        result = await batcher.submit(request)
+    except Exception as exc:  # noqa: BLE001 - solver failure
+        return _failure(head, exc)
+    return head + b'"ok": true, "result": ' + result + b"}\n"
+
+
+def _memo_split(raw: bytes) -> int:
+    """Where the request memo's key starts in *raw*: just past a leading
+    ``{"id": <digits>, `` whose digits are a canonical integer of at most
+    :data:`MEMO_ID_DIGITS` digits, so those bytes are the reply's head.
+    0 when *raw* has no such opening, or when what follows it is too
+    long for the memo to hold."""
+    if not raw.startswith(_ID_OPENING):
+        return 0
+    comma = raw.find(b", ", 7, 9 + MEMO_ID_DIGITS)
+    if (
+        comma < 8
+        or not raw[7:comma].isdigit()
+        or (raw[7] == 0x30 and comma > 8)  # a leading zero
+        or len(raw) - comma - 2 > MEMO_MAX_ENTRY_BYTES
+    ):
+        return 0
+    return comma + 2
 
 
 async def _skip_line(reader: asyncio.StreamReader) -> None:
@@ -140,6 +217,9 @@ class EquilibriumServer:
             max_delay_ms=max_delay_ms,
             cache=self.fixpoint_cache,
         )
+        #: Line bytes after a canonical ``id`` -> (validated request, the
+        #: batcher of its op); see the module docstring.
+        self.memo = ResultCache(cache_size)
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()
         self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
@@ -185,6 +265,7 @@ class EquilibriumServer:
             "backend": get_backend().name,
             **self.batcher.stats(),
             "fixpoint": self.fixpoint_batcher.stats(),
+            "memo": self.memo.stats(),
         }
 
     def info(self) -> dict[str, Any]:
@@ -251,8 +332,16 @@ class EquilibriumServer:
 
         The ``id`` is encoded once, up front, into the reply's head; a
         solved result arrives as cached bytes and is spliced in after
-        it. The line equals ``canonical_dumps`` of the envelope dict.
+        it. The line equals ``canonical_dumps`` of the envelope dict. A
+        line the request memo holds skips decode and validation.
         """
+        key = None
+        split = _memo_split(raw)
+        if split:
+            key = raw[split:]
+            entry = self.memo.get(key)
+            if entry is not None:
+                return await _answer(raw[:split], *entry)
         try:
             message = canonical_loads(raw.decode("utf-8"))
         # ValueError covers JSONDecodeError, UnicodeDecodeError and an
@@ -279,14 +368,25 @@ class EquilibriumServer:
                 request = EquilibriumRequest.from_payload(
                     message, check_width=op == "solve"
                 )
-                result = await batcher.submit(request)
-            except RequestError as exc:
-                return _reply(head, {"ok": False, "error": str(exc)})
-            except Exception as exc:  # noqa: BLE001 - solver failure
-                return _reply(
-                    head, {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                )
-            return head + b'"ok": true, "result": ' + result + b"}\n"
+            except Exception as exc:  # noqa: BLE001 - answered, not raised
+                return _failure(head, exc)
+            # A miss pays one membership test: only a game already
+            # answered is worth a memo entry.
+            if (
+                key is not None
+                and request.digest in batcher.cache
+                and len(head) == split
+                and raw.startswith(head)
+                and b'"id"' not in key
+                and b"\\" not in key
+                and len(key)
+                + request.weights.nbytes
+                + request.capacities.nbytes
+                + request.initial_traffic.nbytes
+                <= MEMO_MAX_ENTRY_BYTES
+            ):
+                self.memo.put(key, (request, batcher))
+            return await _answer(head, request, batcher)
         if op == "stats":
             return _reply(head, {"ok": True, "stats": self.stats()})
         if op == "info":

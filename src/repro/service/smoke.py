@@ -2,13 +2,16 @@
 
 ``python -m repro.service.smoke --port P`` connects to an already
 running :class:`~repro.service.server.EquilibriumServer`, pipelines a
-concurrent burst of solve queries in which every game appears twice
-(so the content-addressed cache *must* hit), then verifies:
+concurrent burst of distinct solve queries, then sends the same burst
+twice more, each wave after the last one completed (so the
+content-addressed cache *must* hit), and verifies:
 
-* every response is well-formed and the duplicate answers are
+* every response is well-formed and the repeated answers are
   identical objects field for field;
-* the server's cache-hit counter is positive and at least one batch
-  coalesced more than one game;
+* the cache hit at least once per game, at least one batch coalesced
+  more than one game, and the request memo answered the third wave:
+  the second wave's lines repeat answered games, so they enter the
+  memo, and the third wave's (the client writes ``id`` first) hit it;
 * ``--shutdown`` (the CI default) stops the server cleanly so the
   supervising shell can ``wait`` on its exit code.
 
@@ -56,14 +59,15 @@ async def _run(host: str, port: int, games: int, shutdown: bool) -> int:
             return 1
         # Wave 1: a pipelined concurrent burst — exercises the dynamic
         # batcher. Wave 2: the same queries again after wave 1 fully
-        # completed — every answer must now come from the cache.
+        # completed — every answer must now come from the cache, and
+        # every line enters the request memo. Wave 3: the memo answers.
         queries = _burst_queries(games)
         results = await client.solve_many(queries)
         repeated = await client.solve_many(queries)
-        for first, second in zip(results, repeated):
-            if first != second:
-                print("smoke: repeated query answers differ", file=sys.stderr)
-                return 1
+        memoised = await client.solve_many(queries)
+        if not results == repeated == memoised:
+            print("smoke: repeated query answers differ", file=sys.stderr)
+            return 1
         digests = {result["digest"] for result in results}
         if len(digests) != len(queries):
             print(
@@ -81,6 +85,14 @@ async def _run(host: str, port: int, games: int, shutdown: bool) -> int:
                 file=sys.stderr,
             )
             return 1
+        memo_hits = stats["memo"]["hits"]
+        if memo_hits < len(queries):
+            print(
+                f"smoke: expected >= {len(queries)} request memo hits, "
+                f"got {memo_hits}",
+                file=sys.stderr,
+            )
+            return 1
         if stats["batched_games"] <= stats["batches"]:
             print(
                 "smoke: no batch coalesced more than one game "
@@ -91,10 +103,10 @@ async def _run(host: str, port: int, games: int, shutdown: bool) -> int:
             return 1
         info = await client.info()
         print(
-            f"smoke ok: {len(results) + len(repeated)} responses, "
+            f"smoke ok: {3 * len(results)} responses, "
             f"{stats['batches']} batches ({stats['batched_games']} games), "
-            f"{cache_hits} cache hits, {stats['coalesced']} coalesced, "
-            f"backend {info['backend']}"
+            f"{cache_hits} cache hits, {memo_hits} memo hits, "
+            f"{stats['coalesced']} coalesced, backend {info['backend']}"
         )
         if shutdown:
             await client.shutdown()
@@ -115,7 +127,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--games",
         type=int,
         default=24,
-        help="distinct games in the burst (each is queried twice)",
+        help="distinct games in the burst (each is queried three times)",
     )
     parser.add_argument(
         "--no-shutdown",

@@ -444,6 +444,58 @@ class TestCli:
         assert captured.err == f"run: {notes}, line 1: not a chunk record\n"
         assert notes.read_bytes() == b"my precious notes, not a store"
 
+    def test_run_without_resume_refuses_a_file_with_a_note(self, tmp_path, capsys):
+        """A run without ``--resume`` never reads its store: it appended
+        after the note, and every later read refused line 1."""
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"my notes\n")
+        assert main(["run", "E5", "--quick", "--store", str(notes)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run: {notes}, line 1: not a chunk record\n"
+        assert notes.read_bytes() == b"my notes\n"
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_without_resume_a_finished_store_is_refused(
+        self, command, tmp_path, capsys
+    ):
+        """Not written a second time: ``digest`` would have collapsed the
+        duplicate chunks without a word."""
+        path = tmp_path / "s.jsonl"
+        assert main(["run", "E5", "--quick", "--store", str(path)]) == 0
+        before = path.read_bytes()
+        capsys.readouterr()
+        if command == "run":
+            argv = ["run", "E5"]
+        else:
+            argv = ["report", "-o", str(tmp_path / "r.md"), "--ids", "E5"]
+        assert main([*argv, "--quick", "--store", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{command}: {path} is not empty (4 chunk record(s)); pass "
+            f"--resume to continue it, or name a new store\n"
+        )
+        assert path.read_bytes() == before
+        assert not (tmp_path / "r.md").exists()
+
+    def test_a_shard_run_checks_its_own_shard_file(self, tmp_path, capsys):
+        base = tmp_path / "s.jsonl"
+        base.write_bytes(b"not read by a shard run\n")
+        argv = ["run", "E5", "--quick", "--shard", "0/2", "--store", str(base)]
+        assert main(argv) == 0
+        shard = tmp_path / "s.shard-0.jsonl"
+        before = shard.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"run: {shard} is not empty (2 chunk record(s)); pass "
+            f"--resume to continue it, or name a new store\n"
+        )
+        assert shard.read_bytes() == before
+        assert main([*argv, "--resume"]) == 0
+        assert shard.read_bytes() == before
+
 
 class TestServeFlags:
     """Bad ``serve`` flags get one line and a non-zero exit, no traceback."""

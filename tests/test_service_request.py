@@ -13,9 +13,16 @@ it changed on purpose:
   the ``OverflowError`` escape);
 * ragged nesting is named as such (the oracle passed NumPy's message on);
 * a shape mismatch names both request fields and their lengths (the
-  oracle named its internal ``B = 1`` batch's shapes).
+  oracle named its internal ``B = 1`` batch's shapes);
+* a boolean element is refused as not numeric, naming its field (the
+  oracle read ``true`` as 1.0 and ``false`` as 0.0);
+* a ``-0.0`` traffic entry is read as ``0.0``, so its digest is the
+  oracle's digest of the same game with unsigned zeros (the oracle
+  digested ``[-0.0, 0.0]`` and ``[0.0, 0.0]`` apart, so the cache held
+  one game twice).
 
-The fixed cases below pin each changed text.
+The fixed cases below pin each changed text and the two changed
+verdicts.
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from request_oracle import OracleRequest
+from request_oracle import game_digest as oracle_digest
 
 from repro.runtime.store import canonical_dumps, canonical_loads
 from repro.service import EquilibriumRequest, EquilibriumServer, RequestError
 
 NONE_TEXT = "float() argument must be a string or a real number, not 'NoneType'"
 OVERFLOW_TEXT = "int too large to convert to float"
+BOOLEAN_TEXT = "booleans are not numbers"
 HUGE = 10**400
 FIELDS = (
     "weights",
@@ -61,9 +70,20 @@ def _leaves(value) -> list:
     return [value]
 
 
+def _refused_boolean(actual: str, payload) -> bool:
+    """Whether *actual* is the boolean refusal of a field that holds a
+    boolean leaf: the one refusal the oracle may have accepted."""
+    boolean = re.fullmatch(rf"'(\w+)' is not numeric: {BOOLEAN_TEXT}", actual)
+    return bool(boolean) and any(
+        type(leaf) is bool for leaf in _leaves(payload[boolean[1]])
+    )
+
+
 def _changed_on_purpose(expected: Exception, actual: str, payload) -> bool:
     """Whether *actual* is the new text for the oracle's refusal
     *expected* under one of the module docstring's changes."""
+    if _refused_boolean(actual, payload):
+        return True
     old = str(expected)
     numeric = re.fullmatch(r"'(\w+)' is not numeric: (.*)", actual)
     if numeric and numeric[2] in (NONE_TEXT, OVERFLOW_TEXT):
@@ -108,7 +128,14 @@ def _changed_on_purpose(expected: Exception, actual: str, payload) -> bool:
 
 def _assert_same_request(actual, expected) -> None:
     assert isinstance(actual, EquilibriumRequest), actual
-    assert actual.digest == expected.digest
+    traffic = expected.initial_traffic
+    # Validated traffic is non-negative, so only a -0.0 has its sign bit.
+    if np.signbit(traffic).any():
+        assert not np.signbit(actual.initial_traffic).any()
+        unsigned = oracle_digest(expected.weights, expected.capacities, traffic + 0.0)
+        assert actual.digest == unsigned != expected.digest
+    else:
+        assert actual.digest == expected.digest
     for name in ("weights", "capacities", "initial_traffic"):
         new, old = getattr(actual, name), getattr(expected, name)
         assert new.dtype == np.float64 and not new.flags.writeable
@@ -123,7 +150,11 @@ def assert_matches_oracle(payload, check_width: bool) -> None:
         EquilibriumRequest.from_payload, payload, check_width=check_width
     )
     if isinstance(expected, OracleRequest):
-        _assert_same_request(actual, expected)
+        if not (
+            isinstance(actual, RequestError)
+            and _refused_boolean(str(actual), payload)
+        ):
+            _assert_same_request(actual, expected)
         return
     assert isinstance(expected, (RequestError, OverflowError)), expected
     assert isinstance(actual, RequestError), actual
@@ -425,6 +456,47 @@ class TestNewElementRefusals:
     def test_none_is_not_numeric(self):
         payload = {"weights": [1.0, None], "capacities": [[1.0, 2.0]] * 2}
         assert _refusal(payload) == f"'weights' is not numeric: {NONE_TEXT}"
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("weights", {"weights": [True, 2.0], "capacities": [[1.0, 2.0]] * 2}),
+            (
+                "capacities",
+                {"weights": [1.0, 2.0], "capacities": [[1.0, 2.0], [True, 1.0]]},
+            ),
+            (
+                "link_capacities",
+                {"weights": [1.0, 2.0], "link_capacities": [2.0, True]},
+            ),
+            (
+                "initial_traffic",
+                {
+                    "weights": [1.0, 2.0],
+                    "link_capacities": [2.0, 1.0],
+                    "initial_traffic": [False, 0.0],
+                },
+            ),
+        ],
+    )
+    def test_a_boolean_is_not_a_number(self, field, payload):
+        """The oracle read ``true`` as a weight of 1.0 and accepted it."""
+        assert isinstance(OracleRequest.from_payload(payload), OracleRequest)
+        assert _refusal(payload) == f"'{field}' is not numeric: {BOOLEAN_TEXT}"
+
+
+def test_negative_zero_traffic_is_the_same_game():
+    """``[-0.0, 0.0]`` and ``[0.0, 0.0]`` are one game: one digest, one
+    cache entry, the same arrays for the solver. The oracle digested
+    them apart."""
+    game = {"weights": [1.0, 2.0], "capacities": [[2.0, 2.0], [2.5, 2.5]]}
+    signed = EquilibriumRequest.from_payload({**game, "initial_traffic": [-0.0, 0.0]})
+    unsigned = EquilibriumRequest.from_payload({**game, "initial_traffic": [0.0, 0.0]})
+    assert signed.digest == unsigned.digest
+    assert signed.digest == EquilibriumRequest.from_payload(game).digest
+    assert not np.signbit(signed.initial_traffic).any()
+    oracle = OracleRequest.from_payload({**game, "initial_traffic": [-0.0, 0.0]})
+    assert oracle.digest != unsigned.digest
 
     def test_ragged_rows(self):
         payload = {"weights": [1.0, 2.0], "capacities": [[1.0, 2.0], [1.0]]}

@@ -14,6 +14,9 @@ order, separators or float spelling. These tests look at the raw lines:
 
       PYTHONPATH=src python tests/test_service_wire.py
 
+* every golden ``solve`` and ``fixpoint`` request, rewritten ``id``
+  first and sent three times, gets its golden reply apart from the
+  ``id``: the request memo answers the third wave with the same bytes;
 * every line gets exactly one reply, whatever its bytes (hypothesis);
 * lines that once got no reply at all get one.
 """
@@ -94,6 +97,41 @@ def test_golden_reply_bytes():
     assert len(entries) >= 30
     for entry, reply in zip(entries, replies):
         assert reply == entry["reply"].encode("ascii"), entry["request"]
+
+
+def test_golden_requests_sent_id_first_keep_their_reply_bytes():
+    entries = [json.loads(line) for line in GOLDEN.read_text("ascii").splitlines()]
+    games = []
+    for entry in entries:
+        try:
+            message = json.loads(entry["request"])
+        except ValueError:
+            continue
+        if isinstance(message, dict) and message.get("op", "solve") in (
+            "solve",
+            "fixpoint",
+        ):
+            body = json.dumps({k: v for k, v in message.items() if k != "id"})
+            reply = entry["reply"].encode("ascii")
+            games.append((body.encode("ascii")[1:], reply[reply.index(b'"ok": ') :]))
+    assert len(games) >= 15
+    ids = [[wave * 1000 + index for index in range(len(games))] for wave in range(3)]
+    lines = [
+        b'{"id": %d, ' % request_id + body
+        for wave in ids
+        for request_id, (body, _) in zip(wave, games)
+    ]
+    *replies, stats = replay([*lines, b'{"op": "stats"}'])
+    expected = [
+        b'{"id": %d, ' % request_id + rest
+        for wave in ids
+        for request_id, (_, rest) in zip(wave, games)
+    ]
+    assert replies == expected
+    answered = {body for body, rest in games if rest.startswith(b'"ok": true')}
+    memo = json.loads(stats)["stats"]["memo"]
+    assert memo["size"] == len(answered)
+    assert memo["hits"] >= len(answered)
 
 
 @pytest.mark.parametrize(
