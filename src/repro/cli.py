@@ -332,12 +332,13 @@ def _refuse_a_written_store(store: str, shard) -> None:
     from repro.runtime.store import ResultStore, shard_store_path
 
     path = store if shard is None else shard_store_path(store, shard.index)
-    records = sum(1 for _ in ResultStore(path).iter_records())
-    if os.path.isfile(path) and os.path.getsize(path):
-        raise StoreError(
-            f"{path} is not empty ({records} chunk record(s)); pass "
-            f"--resume to continue it, or name a new store"
-        )
+    if not (os.path.isfile(path) and os.path.getsize(path)):
+        return
+    for _ in ResultStore(path).iter_records():
+        pass
+    raise StoreError(
+        f"{path} is not empty; pass --resume to continue it, or name a new store"
+    )
 
 
 def _cmd_list() -> int:

@@ -473,8 +473,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"{command}: {path} is not empty (4 chunk record(s)); pass "
-            f"--resume to continue it, or name a new store\n"
+            f"{command}: {path} is not empty; pass --resume to continue it, "
+            f"or name a new store\n"
         )
         assert path.read_bytes() == before
         assert not (tmp_path / "r.md").exists()
@@ -489,8 +489,8 @@ class TestCli:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"run: {shard} is not empty (2 chunk record(s)); pass "
-            f"--resume to continue it, or name a new store\n"
+            f"run: {shard} is not empty; pass --resume to continue it, "
+            f"or name a new store\n"
         )
         assert shard.read_bytes() == before
         assert main([*argv, "--resume"]) == 0

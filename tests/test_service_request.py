@@ -484,6 +484,12 @@ class TestNewElementRefusals:
         assert isinstance(OracleRequest.from_payload(payload), OracleRequest)
         assert _refusal(payload) == f"'{field}' is not numeric: {BOOLEAN_TEXT}"
 
+    def test_ragged_rows(self):
+        payload = {"weights": [1.0, 2.0], "capacities": [[1.0, 2.0], [1.0]]}
+        assert _refusal(payload) == (
+            "'capacities' is ragged: its nested lists differ in length or depth"
+        )
+
 
 def test_negative_zero_traffic_is_the_same_game():
     """``[-0.0, 0.0]`` and ``[0.0, 0.0]`` are one game: one digest, one
@@ -497,12 +503,6 @@ def test_negative_zero_traffic_is_the_same_game():
     assert not np.signbit(signed.initial_traffic).any()
     oracle = OracleRequest.from_payload({**game, "initial_traffic": [-0.0, 0.0]})
     assert oracle.digest != unsigned.digest
-
-    def test_ragged_rows(self):
-        payload = {"weights": [1.0, 2.0], "capacities": [[1.0, 2.0], [1.0]]}
-        assert _refusal(payload) == (
-            "'capacities' is ragged: its nested lists differ in length or depth"
-        )
 
 
 def _reply(line: str) -> dict:
