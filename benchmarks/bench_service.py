@@ -28,6 +28,12 @@ same game sent ``op`` first, which takes the parse path. It reports
 microseconds per request and asserts only that the digests, and the
 two paths' replies apart from the ``id``, agree.
 
+``test_pipelined_hits_over_a_socket`` times the connection layer: bursts
+of 256 cache-hit lines, ``id`` first, each burst written at once to a
+real server socket and its replies read back whole, client included. It
+reports microseconds per line and asserts only that every reply equals
+the game's first answer apart from its ``id``.
+
 ``test_census_per_stack`` times what every flush pays once per shape:
 one ``solve`` stack answered by ``_answer_census``, at ``B = 1`` (a
 lone request on an idle server) and ``B = 16``, for the four shapes of
@@ -41,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
+import time
 from pathlib import Path
 
 from _timing import _timed
@@ -211,15 +218,23 @@ def test_request_front_end(report):
 
 
 def _hit(server: EquilibriumServer, line: bytes) -> bytes:
-    """*line*'s reply through ``_dispatch``, which a cache hit returns
-    without yielding to the event loop."""
-    dispatch = server._dispatch(line)
-    try:
-        dispatch.send(None)
-    except StopIteration as done:
-        return done.value
-    dispatch.close()
-    raise AssertionError(f"not a cache hit: {line[:40]!r}")
+    """*line*'s reply through ``_dispatch``, which answers a cache hit
+    at once, as bytes."""
+    reply = server._dispatch(line)
+    if not isinstance(reply, bytes):
+        raise AssertionError(f"not a cache hit: {line[:40]!r}")
+    return reply
+
+
+def _id_first(lines: list[bytes]) -> list[bytes]:
+    """*lines* (``op`` first) rewritten ``id`` first, as the request memo
+    reads them."""
+    out = []
+    for index, line in enumerate(lines):
+        message = json.loads(line)
+        del message["id"]
+        out.append(b'{"id": %d, ' % index + json.dumps(message).encode()[1:])
+    return out
 
 
 async def _cache_hit_us(lines: list[bytes]) -> tuple[float, float]:
@@ -227,13 +242,11 @@ async def _cache_hit_us(lines: list[bytes]) -> tuple[float, float]:
     sent ``id`` first, each line in the request memo, and *lines*
     (``op`` first), which take the parse path."""
     server = EquilibriumServer(port=0, cache_size=len(lines))
-    id_first = []
-    for index, line in enumerate(lines):
-        message = json.loads(line)
-        del message["id"]
-        id_first.append(b'{"id": %d, ' % index + json.dumps(message).encode()[1:])
+    id_first = _id_first(lines)
     for line in [*lines, *id_first]:  # solve each game, then memoise it
-        await server._dispatch(line)
+        reply = server._dispatch(line)
+        if not isinstance(reply, bytes):
+            await reply[1]
     assert server.stats()["memo"]["size"] == len(lines)
 
     def apart_from_id(reply: bytes) -> bytes:
@@ -253,6 +266,60 @@ async def _cache_hit_us(lines: list[bytes]) -> tuple[float, float]:
     memo, parsed = per_hit_us(id_first), per_hit_us(lines)
     await server.close()
     return memo, parsed
+
+
+def test_pipelined_hits_over_a_socket(report):
+    """Microseconds per line for a pipelined burst of cache-hit lines
+    over a real socket, client included; no timing gate."""
+    lines = _request_lines()
+    per_line = asyncio.run(_pipelined_hits_us(lines))
+    report.append(
+        f"[service] a pipelined burst of {len(lines)} cache-hit lines "
+        f"(id first, request memo) over one socket: {per_line:.1f} us/line "
+        f"(best of 20 bursts, client in the same event loop)"
+    )
+
+
+async def _pipelined_hits_us(lines: list[bytes]) -> float:
+    """Send *lines* once to solve their games, then time bursts of the
+    same games ``id`` first, each burst written at once and read back
+    whole; every reply must equal the first burst's apart from its id."""
+    server = EquilibriumServer(port=0, cache_size=len(lines))
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+
+            async def burst(sent: list[bytes]) -> list[bytes]:
+                writer.write(b"".join(line + b"\n" for line in sent))
+                received, count = [], 0
+                while count < len(sent):
+                    chunk = await reader.read(1 << 16)
+                    assert chunk, "the server closed the connection"
+                    received.append(chunk)
+                    count += chunk.count(b"\n")
+                return b"".join(received).splitlines()
+
+            solved = await burst(lines)
+            hits = _id_first(lines)
+            await burst(hits)  # memoise each line
+            best = float("inf")
+            for _ in range(20):
+                start = time.perf_counter()
+                replies = await burst(hits)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+    finally:
+        await server.close()
+
+    def result(reply: bytes) -> tuple[int, bytes]:
+        message = json.loads(reply)
+        return message["id"], reply[reply.index(b'"ok": ') :]
+
+    assert sorted(map(result, replies)) == sorted(map(result, solved))
+    return best / len(hits) * 1e6
 
 
 def _best_us(fn, repeats: int = 100) -> float:

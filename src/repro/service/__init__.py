@@ -12,14 +12,16 @@ The batch engine (PRs 1-4) runs offline campaigns; this package serves
 * :mod:`repro.service.cache`   — content-addressed LRU of completed
   responses (repeat traffic is O(hash));
 * :mod:`repro.service.batcher` — dynamic batching: concurrent requests
-  coalesce into a window that flushes at ``max_batch`` games or once
-  the requests already read are in (``max_delay_ms``, 0 by default,
-  holds it open instead), with in-flight digest ride-along. Against
-  the old 2 ms window, flushing at idle took ``serve-solve``'s median
-  latency from 4.0-4.1 to 1.5-1.6 ms;
+  coalesce into a window that flushes at ``max_batch`` games or on the
+  first event-loop pass that brings no game (``max_delay_ms``, 0 by
+  default, holds it open for a fixed time instead), with in-flight
+  digest ride-along. Against the old 2 ms window, flushing at idle took
+  ``serve-solve``'s median latency from 4.0-4.1 to 1.5-1.6 ms;
 * :mod:`repro.service.server`  — the JSON-lines asyncio TCP server
-  (``repro-experiments serve``); it encodes each solved response once,
-  caches the bytes, and splices them into every reply for that game;
+  (``repro-experiments serve``), one :class:`asyncio.Protocol` per
+  connection that answers each read's lines in that read's callback;
+  it encodes each solved response once, caches the bytes, and splices
+  them into every reply for that game;
 * :mod:`repro.service.client`  — a pipelining asyncio client;
 * :mod:`repro.service.smoke`   — the CI smoke driver (burst, cache-hit
   gate, clean shutdown).

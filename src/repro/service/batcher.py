@@ -6,29 +6,54 @@ whichever comes first:
 
 * **size** — ``max_batch`` distinct games are waiting;
 * **deadline** — ``max_delay_ms`` elapsed since the window opened (the
-  first request's arrival). At the default of
-  :data:`DEFAULT_MAX_DELAY_MS` = 0 the deadline timer is due at once,
-  so the window flushes on the event loop's next pass, after the
-  callbacks that were already queued when it opened: it takes in every
-  request that had arrived by then and waits for none that had not.
+  first request's arrival), or, at the default of
+  :data:`DEFAULT_MAX_DELAY_MS` = 0, an event-loop pass that brought no
+  game.
+
+At the default ``max_delay_ms = 0`` a window stays open while games
+keep arriving: its timer checks it once per event-loop pass, a pass
+that added a game keeps it open, and the first pass that adds none
+flushes it. ``max_batch`` games flush it at once, and a lone request
+reaches the solver two passes after it was submitted. A positive
+``max_delay_ms`` holds each window open that long instead.
+
+The server feeds it from each connection's reads
+(:mod:`repro.service.server`): each connection is an
+:class:`asyncio.Protocol`. Every complete line in the bytes one read
+delivers is answered in that same callback, in order: a reply that is
+ready at once (a memo or cache hit, a control op, a refusal) joins a
+buffer that goes out in one write when the callback returns, and a
+miss's reply is written by the done-callback of its batcher future as
+soon as its window is solved. No line gets a task, a lock or a drain;
+when the transport's write buffer passes its high-water mark, the
+connection stops reading until it drains. So :meth:`DynamicBatcher.submit`
+returns a future without yielding, already done for a cache hit.
 
 The zero default makes the batcher work-conserving. A lone request on
 an idle server is solved at once, while requests that arrive during a
 solve queue up in the transport and land in the next window together.
-A fixed window cost every lone request its full length: on the
-``serve-solve`` benchmark's 100 qps open loop, the old 2 ms default put
-the median latency at 4.0-4.1 ms and 0 puts it at 1.5-1.6 ms (medians
-of two rounds of 10 run pairs on a 2-vCPU Xeon; the README's "Serving
-equilibria" gives the throughput). A positive ``max_delay_ms`` still
-holds each window open that long, for a deployment that prefers fuller
+A pipelining client's requests arrive over several passes rather than
+in one read, and a window that stays open while they come fills
+instead of splitting: on perfbench's ``serve-hot`` workload a flush
+took 5.3-5.4 games instead of 3.6, on ``serve-solve`` 13.9-14.2 instead
+of 12.5-13.0 (medians of 10 runs per round, seeds 1-30 and 1-40, on a
+2-vCPU Xeon).
+A fixed window cost every lone
+request its full length: on the ``serve-solve`` benchmark's 100 qps
+open loop, the old 2 ms default put the median latency at 4.0-4.1 ms
+and 0 puts it at 1.5-1.6 ms (medians of two rounds of 10 run pairs on a
+2-vCPU Xeon; the README's "Serving equilibria" gives the throughput). A
+positive ``max_delay_ms`` is for a deployment that prefers fuller
 batches to latency. Idle flushes count as ``deadline_flushes`` in
 :meth:`DynamicBatcher.stats`.
 
 A flush hands the whole window to the solver seam
 (:func:`repro.service.query.solve_requests` by default), which stacks
 it into per-shape :class:`~repro.batch.container.GameBatch` sub-batches
-— one kernel pass per shape instead of one per request. Three
-de-duplication layers keep repeated traffic O(hash):
+— one kernel pass per shape instead of one per request. A shape stack
+that raises fills its own slots with the exception, and only its
+requests fail; a seam that raises as a whole fails its whole window.
+Three de-duplication layers keep repeated traffic O(hash):
 
 1. completed responses come from the content-addressed
    :class:`~repro.service.cache.ResultCache` (when attached);
@@ -53,21 +78,25 @@ from repro.service.query import EquilibriumRequest, solve_requests
 
 __all__ = ["DEFAULT_MAX_DELAY_MS", "DynamicBatcher"]
 
-#: How long a window waits for more games by default: none. The window
-#: flushes on the event loop's next pass (see the module docstring).
-#: ``EquilibriumServer`` and ``serve --max-delay-ms`` default to it too.
+#: How long a window waits for more games by default: no fixed time. The
+#: window flushes on the first event-loop pass that adds no game (see the
+#: module docstring). ``EquilibriumServer`` and ``serve --max-delay-ms``
+#: default to it too.
 DEFAULT_MAX_DELAY_MS = 0.0
 
-#: The solver seam: mixed-shape requests in, per-request responses out.
-Solver = Callable[[Sequence[EquilibriumRequest]], "list[dict[str, Any]]"]
+#: The solver seam: mixed-shape requests in, per-request responses out;
+#: a request whose shape stack raised gets that exception instead.
+Solver = Callable[
+    [Sequence[EquilibriumRequest]], "list[dict[str, Any] | Exception]"
+]
 
 
 class DynamicBatcher:
     """Coalesce concurrent queries into batched solver passes.
 
     A window flushes at ``max_batch`` distinct games, or ``max_delay_ms``
-    after it opened; at ``max_delay_ms = 0`` (the default) on the event
-    loop's next pass.
+    after it opened; at ``max_delay_ms = 0`` (the default) on the first
+    event-loop pass that adds no game to it.
     """
 
     def __init__(
@@ -92,6 +121,8 @@ class DynamicBatcher:
         #: digest -> futures awaiting it (pending *or* mid-flush).
         self._waiters: dict[str, list[asyncio.Future]] = {}
         self._deadline: asyncio.TimerHandle | None = None
+        #: Games in the window when its timer last looked at it.
+        self._seen = 0
         self._flushes: set[asyncio.Task] = set()
         self._closed = False
         # Counters for the ``stats`` op / benchmarks.
@@ -102,31 +133,51 @@ class DynamicBatcher:
         self.size_flushes = 0
         self.deadline_flushes = 0
 
-    async def submit(self, request: EquilibriumRequest) -> dict[str, Any]:
-        """Resolve one query: cache, in-flight ride-along, or batch."""
+    def submit(self, request: EquilibriumRequest) -> asyncio.Future:
+        """Resolve one query: cache, in-flight ride-along, or batch.
+
+        Returns a future at once, without yielding to the event loop:
+        already done for a cache hit (or with ``RuntimeError`` on a
+        closed batcher), else done when the request's window is solved.
+        """
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         if self._closed:
-            raise RuntimeError("batcher is closed")
+            future.set_exception(RuntimeError("batcher is closed"))
+            return future
         self.requests += 1
         if self.cache is not None:
             cached = self.cache.get(request.digest)
             if cached is not None:
-                return cached
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+                future.set_result(cached)
+                return future
         waiters = self._waiters.get(request.digest)
         if waiters is not None:
             self.coalesced += 1
             waiters.append(future)
-            return await future
+            return future
         self._waiters[request.digest] = [future]
         self._pending.append(request)
         if len(self._pending) >= self.max_batch:
             self._flush("size")
         elif self._deadline is None:
+            self._seen = len(self._pending)
             self._deadline = loop.call_later(
-                self.max_delay_ms / 1000.0, self._flush, "deadline"
+                self.max_delay_ms / 1000.0, self._on_deadline
             )
-        return await future
+        return future
+
+    def _on_deadline(self) -> None:
+        """The window's timer. At ``max_delay_ms = 0`` it is due on every
+        pass, after that pass's reads: a pass that added a game re-arms
+        it, the first that added none flushes."""
+        if self.max_delay_ms == 0 and len(self._pending) > self._seen:
+            self._seen = len(self._pending)
+            self._deadline = asyncio.get_running_loop().call_later(
+                0, self._on_deadline
+            )
+            return
+        self._flush("deadline")
 
     def _flush(self, trigger: str) -> None:
         """Move the pending window into a solver task."""
@@ -150,15 +201,17 @@ class DynamicBatcher:
         try:
             responses = self._solver(window)
         except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
-            for request in window:
-                for future in self._waiters.pop(request.digest, []):
-                    if not future.done():
-                        future.set_exception(exc)
-            return
+            responses = [exc] * len(window)
         for request, response in zip(window, responses):
+            waiters = self._waiters.pop(request.digest, [])
+            if isinstance(response, Exception):
+                for future in waiters:
+                    if not future.done():
+                        future.set_exception(response)
+                continue
             if self.cache is not None:
                 self.cache.put(request.digest, response)
-            for future in self._waiters.pop(request.digest, []):
+            for future in waiters:
                 if not future.done():
                     future.set_result(response)
 

@@ -472,12 +472,19 @@ def _uniform_beliefs_mask(
 def _solve_by_shape(
     requests: Sequence[EquilibriumRequest],
     answer: Callable[[GameBatch, Sequence[str]], list[dict[str, Any]]],
-) -> list[dict[str, Any]]:
+) -> list[dict[str, Any] | Exception]:
     """Group *requests* into per-shape stacks and answer each stack with
-    one ``answer(batch, digests)`` call; responses in request order."""
-    out: list[dict[str, Any] | None] = [None] * len(requests)
+    one ``answer(batch, digests)`` call; responses in request order.
+
+    A stack whose call raises gets the exception in each of its slots,
+    so the stacks of other shapes in the same window are still answered.
+    """
+    out: list[dict[str, Any] | Exception | None] = [None] * len(requests)
     for batch, indices in GameBatch.from_requests(requests):
-        responses = answer(batch, [requests[i].digest for i in indices])
+        try:
+            responses = answer(batch, [requests[i].digest for i in indices])
+        except Exception as exc:  # noqa: BLE001 - fails this stack only
+            responses = [exc] * len(indices)
         for index, response in zip(indices, responses):
             out[index] = response
     return out  # type: ignore[return-value]
@@ -543,12 +550,13 @@ def _answer_census(
 
 def solve_requests(
     requests: Sequence[EquilibriumRequest],
-) -> list[dict[str, Any]]:
+) -> list[dict[str, Any] | Exception]:
     """Solve a mixed-shape request list via per-shape sub-batches.
 
     The dynamic batcher's solver seam: requests are grouped with
     :meth:`GameBatch.from_requests` and each shape's stack takes one
     pass of the batched kernels; responses come back in request order.
+    A request whose stack raised gets the exception in its place.
     """
     return _solve_by_shape(requests, _answer_census)
 
@@ -600,7 +608,7 @@ def solve_fixpoint_requests(
     requests: Sequence[EquilibriumRequest],
     *,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> list[dict[str, Any]]:
+) -> list[dict[str, Any] | Exception]:
     """The fixpoint op's solver seam — same shape as
     :func:`solve_requests`, so the same dynamic batcher drives it."""
     return _solve_by_shape(

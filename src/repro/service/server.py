@@ -1,6 +1,6 @@
 """The equilibrium service: a JSON-lines asyncio TCP server.
 
-Stdlib-only (``asyncio.start_server``) so the service runs wherever the
+Stdlib-only (``loop.create_server``) so the service runs wherever the
 library does; the protocol is newline-delimited JSON, one object per
 line. Every reply line is the runtime store's canonical encoding
 (:func:`repro.runtime.store.canonical_dumps` — ``repr`` floats, the
@@ -30,10 +30,28 @@ requests per connection and match the (possibly reordered) responses:
 * ``{"op": "shutdown"}`` → acknowledges, then gracefully stops the
   server (drains in-flight batches first).
 
-Every ``solve`` line becomes its own task, so one pipelining connection
-generates genuinely concurrent requests for the
-:class:`~repro.service.batcher.DynamicBatcher` to coalesce. Every line
-gets exactly one reply: malformed lines, lines longer than
+Each connection is an :class:`asyncio.Protocol`. Every complete line in
+the bytes one read delivers is answered in that same callback, in
+order: a reply that is ready at once (a memo or cache hit, a control
+op, a refusal) joins a buffer that goes out in one write when the
+callback returns, and a miss's reply is written by the done-callback of
+its batcher future as soon as its window is solved. No line gets a
+task, a lock or a drain; when the transport's write buffer passes its
+high-water mark, the connection stops reading until it drains.
+
+At the default ``max_delay_ms = 0`` a window stays open while games
+keep arriving: its timer checks it once per event-loop pass, a pass
+that added a game keeps it open, and the first pass that adds none
+flushes it. ``max_batch`` games flush it at once, and a lone request
+reaches the solver two passes after it was submitted. A positive
+``max_delay_ms`` holds each window open that long instead (see
+:mod:`repro.service.batcher`). So a pipelining connection hands its
+:class:`~repro.service.batcher.DynamicBatcher` every game of a read at
+once, and the games of its next reads join the same window.
+
+After the client half-closes, every line is still answered before the
+connection closes, and a final line without a newline is answered too.
+Every line gets exactly one reply: malformed lines, lines longer than
 :data:`MAX_LINE_BYTES`, and ids that cannot be encoded produce
 ``{"ok": false, "error": ...}`` (without the ``id`` when it is the
 problem) instead of killing the connection.
@@ -80,9 +98,10 @@ __all__ = [
     "MEMO_MAX_ENTRY_BYTES",
 ]
 
-#: Longest request line read (the stream limit; newline excluded). A
-#: ``fixpoint`` query for a 300 x 30 game is ~181 KB, far past asyncio's
-#: 64 KiB default; a longer line is skipped and answered with an error.
+#: Longest request line read (newline excluded). A ``fixpoint`` query
+#: for a 300 x 30 game is ~181 KB, far past asyncio's 64 KiB stream
+#: default; a longer line is discarded, without being held, and answered
+#: with one error.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
 #: Most digits of an ``id`` the request memo reads. Far below the
@@ -109,13 +128,16 @@ _ID_OPENING = b'{"id": '
 
 def _encoding(
     solver: Solver,
-) -> Callable[[Sequence[EquilibriumRequest]], list[bytes]]:
+) -> Callable[[Sequence[EquilibriumRequest]], list[bytes | Exception]]:
     """Wrap a solver seam so each response is encoded exactly once; the
-    batcher and its cache then pass the canonical bytes around."""
+    batcher and its cache then pass the canonical bytes around. A failed
+    stack's exceptions pass through."""
 
-    def solve(requests: Sequence[EquilibriumRequest]) -> list[bytes]:
+    def solve(requests: Sequence[EquilibriumRequest]) -> list[bytes | Exception]:
         return [
-            canonical_dumps(response).encode("utf-8")
+            response
+            if isinstance(response, Exception)
+            else canonical_dumps(response).encode("utf-8")
             for response in solver(requests)
         ]
 
@@ -135,16 +157,33 @@ def _failure(head: bytes, exc: Exception) -> bytes:
     return _reply(head, {"ok": False, "error": f"{type(exc).__name__}: {exc}"})
 
 
-async def _answer(
+def _answer(
     head: bytes, request: EquilibriumRequest, batcher: DynamicBatcher
-) -> bytes:
-    """The reply to a validated request: its batcher's result, or the
-    error the batcher raised (a closed batcher, a failed solve)."""
+) -> bytes | tuple[bytes, asyncio.Future]:
+    """The reply to a validated request if its batcher answered at once,
+    else *head* and the future that will answer it."""
+    future = asyncio.ensure_future(batcher.submit(request))
+    if future.done():
+        return _outcome(head, future)
+    return head, future
+
+
+def _outcome(head: bytes, future: asyncio.Future) -> bytes:
+    """The reply line to a done batcher future: its result, or the error
+    the batcher raised (a closed batcher, a failed solve)."""
     try:
-        result = await batcher.submit(request)
-    except Exception as exc:  # noqa: BLE001 - solver failure
+        result = future.result()
+    except Exception as exc:  # noqa: BLE001 - answered, not raised
         return _failure(head, exc)
     return head + b'"ok": true, "result": ' + result + b"}\n"
+
+
+def _too_long() -> bytes:
+    """The reply to a line longer than :data:`MAX_LINE_BYTES`."""
+    return _reply(_NO_ID, {
+        "ok": False,
+        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+    })
 
 
 def _memo_split(raw: bytes) -> int:
@@ -166,16 +205,128 @@ def _memo_split(raw: bytes) -> int:
     return comma + 2
 
 
-async def _skip_line(reader: asyncio.StreamReader) -> None:
-    """Discard buffered and incoming input through the next newline."""
-    while True:
-        try:
-            await reader.readuntil(b"\n")
+class _Connection(asyncio.Protocol):
+    """One client connection: each read's complete lines are answered in
+    that read's callback (see the module docstring)."""
+
+    def __init__(self, server: EquilibriumServer) -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        #: The start of a line whose newline has not arrived yet.
+        self._partial = bytearray()
+        #: Inside a line past :data:`MAX_LINE_BYTES`, dropping its bytes.
+        self._discarding = False
+        #: Replies ready in this read, written together when it ends.
+        self._ready: list[bytes] = []
+        #: Lines whose replies wait for a batcher future.
+        self._in_flight = 0
+        #: No more lines will be read: EOF, or the server is closing.
+        self._eof = False
+        #: Done once the transport is closed.
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._server._connections.add(self)
+        self._server.connections += 1
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        start = 0
+        if self._partial or self._discarding:
+            newline = data.find(b"\n")
+            if newline < 0:
+                self._hold(data)
+                return
+            start = newline + 1
+            self._end_held_line(data[:start])
+        find = data.find
+        newline = find(b"\n", start)
+        while newline >= 0:
+            self._line(data[start : newline + 1])
+            start = newline + 1
+            newline = find(b"\n", start)
+        if start < len(data):
+            self._hold(data[start:])
+        self._write_ready()
+
+    def eof_received(self) -> bool:
+        """Answer a final line without a newline, then close once every
+        line is answered; until then the transport stays half-open."""
+        self._eof = True
+        if self._partial or self._discarding:
+            self._end_held_line(b"")
+        self._write_ready()
+        if not self._in_flight:
+            self._transport.close()
+        return True
+
+    def pause_writing(self) -> None:
+        if not self._eof:
+            self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self._eof:
+            self._transport.resume_reading()
+
+    def close(self) -> None:
+        """Read no more lines; close once every line read is answered."""
+        self._eof = True
+        self._transport.pause_reading()
+        if not self._in_flight:
+            self._transport.close()
+
+    def _hold(self, piece: bytes) -> None:
+        """Keep *piece*, the start of a line, unless that line is
+        already past the limit: then drop it and what follows."""
+        if self._discarding:
             return
-        except asyncio.LimitOverrunError as exc:
-            await reader.readexactly(exc.consumed)
-        except asyncio.IncompleteReadError:  # EOF inside the line
+        self._partial += piece
+        if len(self._partial) > MAX_LINE_BYTES:
+            self._partial.clear()
+            self._discarding = True
+
+    def _end_held_line(self, tail: bytes) -> None:
+        """The line held so far ends with *tail*: answer it, or refuse it
+        once if it went past the limit."""
+        if self._discarding:
+            self._discarding = False
+            self._ready.append(_too_long())
             return
+        self._partial += tail
+        line = bytes(self._partial)
+        self._partial.clear()
+        self._line(line)
+
+    def _line(self, raw: bytes) -> None:
+        """Answer one line (newline included, unless it ended at EOF)."""
+        if len(raw) - raw.endswith(b"\n") > MAX_LINE_BYTES:
+            self._ready.append(_too_long())
+            return
+        reply = self._server._dispatch(raw)
+        if isinstance(reply, bytes):
+            self._ready.append(reply)
+            return
+        head, future = reply
+        self._in_flight += 1
+        future.add_done_callback(functools.partial(self._answered, head))
+
+    def _answered(self, head: bytes, future: asyncio.Future) -> None:
+        """Write a miss's reply as soon as its batcher future is done."""
+        self._in_flight -= 1
+        if future.cancelled() or self._transport.is_closing():
+            return
+        self._transport.write(_outcome(head, future))
+        if self._eof and not self._in_flight:
+            self._transport.close()
+
+    def _write_ready(self) -> None:
+        if self._ready:
+            self._transport.write(b"".join(self._ready))
+            self._ready.clear()
 
 
 class EquilibriumServer:
@@ -222,7 +373,7 @@ class EquilibriumServer:
         self.memo = ResultCache(cache_size)
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()
-        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._connections: set[_Connection] = set()
         self.connections = 0
 
     # ------------------------------------------------------------------ #
@@ -231,8 +382,8 @@ class EquilibriumServer:
 
     async def start(self) -> None:
         """Bind and start accepting connections (port 0 picks a free one)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -242,22 +393,23 @@ class EquilibriumServer:
         await self.close()
 
     async def close(self) -> None:
-        """Stop accepting, drain in-flight batches, release the socket."""
+        """Stop accepting and reading, answer every line read (draining
+        in-flight batches), then close the connections and the socket."""
         self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Nudge lingering connections to EOF so their handlers finish
-        # (instead of being cancelled mid-read at loop teardown).
-        for writer in self._handlers.values():
-            writer.close()
-        if self._handlers:
-            await asyncio.gather(
-                *tuple(self._handlers), return_exceptions=True
-            )
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Each connection reads no more and closes once the lines it has
+        # read are answered, which the batchers' last flushes do; from
+        # Python 3.12 on, ``wait_closed`` waits for the connections too.
+        connections = tuple(self._connections)
+        for connection in connections:
+            connection.close()
         await self.batcher.close()
         await self.fixpoint_batcher.close()
+        await asyncio.gather(*(connection.closed for connection in connections))
+        if server is not None:
+            await server.wait_closed()
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -276,59 +428,10 @@ class EquilibriumServer:
     # protocol
     # ------------------------------------------------------------------ #
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        handler = asyncio.current_task()
-        if handler is not None:
-            self._handlers[handler] = writer
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-
-        async def respond(line: bytes) -> None:
-            async with write_lock:
-                writer.write(line)
-                await writer.drain()
-
-        async def handle_line(raw: bytes) -> None:
-            await respond(await self._dispatch(raw))
-
-        try:
-            while not reader.at_eof():
-                try:
-                    raw = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    raw = exc.partial  # EOF: a final unterminated line
-                except asyncio.LimitOverrunError:
-                    await _skip_line(reader)
-                    await respond(_reply(_NO_ID, {
-                        "ok": False,
-                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    }))
-                    continue
-                if not raw:
-                    break
-                task = asyncio.ensure_future(handle_line(raw))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                await asyncio.gather(*tuple(tasks), return_exceptions=True)
-        except ConnectionError:
-            pass
-        finally:
-            if handler is not None:
-                self._handlers.pop(handler, None)
-            for task in tasks:
-                task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-
-    async def _dispatch(self, raw: bytes) -> bytes:
-        """The reply line to one request line.
+    def _dispatch(self, raw: bytes) -> bytes | tuple[bytes, asyncio.Future]:
+        """The reply line to one request line, or, for a request its
+        batcher cannot answer at once, the reply's head and the future
+        that will answer it.
 
         The ``id`` is encoded once, up front, into the reply's head; a
         solved result arrives as cached bytes and is spliced in after
@@ -341,7 +444,7 @@ class EquilibriumServer:
             key = raw[split:]
             entry = self.memo.get(key)
             if entry is not None:
-                return await _answer(raw[:split], *entry)
+                return _answer(raw[:split], *entry)
         try:
             message = canonical_loads(raw.decode("utf-8"))
         # ValueError covers JSONDecodeError, UnicodeDecodeError and an
@@ -386,7 +489,7 @@ class EquilibriumServer:
                 <= MEMO_MAX_ENTRY_BYTES
             ):
                 self.memo.put(key, (request, batcher))
-            return await _answer(head, request, batcher)
+            return _answer(head, request, batcher)
         if op == "stats":
             return _reply(head, {"ok": True, "stats": self.stats()})
         if op == "info":

@@ -47,6 +47,7 @@ from repro.service import (
     solve_requests,
 )
 from repro.runtime.store import canonical_dumps, canonical_loads
+from repro.service import query as query_module
 from repro.service import server as server_module
 from repro.util.rng import stable_seed
 
@@ -403,6 +404,56 @@ class TestDynamicBatcher:
         assert batcher.size_flushes == 0
         _check_differential(request, result)
 
+    @pytest.mark.parametrize(
+        "arrivals, windows",
+        [((0, 1, 2), [3]), ((0, 1, 3), [2, 1]), ((0, 0, 1), [3])],
+        ids=["consecutive", "a-quiet-pass-between", "two-then-one"],
+    )
+    def test_default_holds_the_window_while_passes_bring_games(
+        self, arrivals, windows
+    ):
+        """Under the defaults a window stays open while each event-loop
+        pass adds a game to it, and the first pass that adds none
+        flushes it. Request ``i`` is submitted on pass ``arrivals[i]``
+        by a callback that runs once per pass; the solver then runs two
+        passes after the last game, as it does for a lone request."""
+        requests = [_request("passes", 3, 3, i) for i in range(len(arrivals))]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            passes = -1
+            futures, solved = [], []
+
+            def solver(window):
+                solved.append((passes, len(window)))
+                return solve_requests(window)
+
+            batcher = DynamicBatcher(solver)
+
+            def tick():
+                nonlocal passes
+                passes += 1
+                for request, due in zip(requests, arrivals):
+                    if due == passes:
+                        futures.append(batcher.submit(request))
+                if len(solved) < len(windows) and passes < 100:
+                    loop.call_soon(tick)
+
+            tick()
+            while len(solved) < len(windows) and passes < 100:
+                await asyncio.sleep(0)
+            results = await asyncio.gather(*futures)
+            await batcher.close()
+            return batcher, results, solved
+
+        batcher, results, solved = asyncio.run(scenario())
+        assert [size for _, size in solved] == windows
+        assert solved[-1][0] == arrivals[-1] + 2
+        assert batcher.batches == batcher.deadline_flushes == len(windows)
+        assert batcher.size_flushes == 0
+        for request, response in zip(requests, results):
+            _check_differential(request, response)
+
     def test_default_still_batches_what_arrives_together(self):
         requests = [_request("together", 3, 3, i) for i in range(5)]
 
@@ -587,6 +638,62 @@ class TestEquilibriumServer:
         for index, request in enumerate(requests):
             _check_differential(request, by_id[index])
 
+    def test_a_failing_stack_fails_only_its_own_requests(self, monkeypatch):
+        """A (3, 3) and a (2, 4) game flushed in one window, with the fully
+        mixed kernel raising for m = 4: the (3, 3) reply keeps its bytes,
+        the (2, 4) one is an error, and nothing is cached for it, so a
+        retry once the kernel is mended is solved."""
+        lines = [
+            canonical_dumps({"id": index, "op": "solve", **_payload(request)})
+            .encode("utf-8") + b"\n"
+            for index, request in enumerate(
+                [_request("stack", 3, 3), _request("stack", 2, 4)]
+            )
+        ]
+
+        async def exchange(server, sent):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(b"".join(sent))
+                await writer.drain()
+                replies = [await reader.readline() for _ in sent]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return sorted(replies)
+
+        async def normal(server):
+            return await exchange(server, lines)
+
+        expected = asyncio.run(_with_server(normal))
+        kernel = query_module.batch_fully_mixed_candidate
+
+        def failing_for_four_links(weights, capacities, initial_traffic):
+            if capacities.shape[-1] == 4:
+                raise MemoryError("no room for four links")
+            return kernel(weights, capacities, initial_traffic)
+
+        async def failing(server):
+            monkeypatch.setattr(
+                query_module, "batch_fully_mixed_candidate", failing_for_four_links
+            )
+            first = await exchange(server, lines)
+            window = server.stats()
+            monkeypatch.setattr(query_module, "batch_fully_mixed_candidate", kernel)
+            retry = await exchange(server, lines[1:])
+            return first, window, retry, server.stats()
+
+        first, window, retry, stats = asyncio.run(_with_server(failing))
+        assert window["batches"] == 1 and window["batched_games"] == 2
+        assert first == [
+            expected[0],
+            b'{"id": 1, "ok": false, "error": "MemoryError: no room for four links"}\n',
+        ]
+        assert retry == expected[1:]
+        assert stats["batches"] == 2 and stats["cache"]["hits"] == 0
+
     def test_protocol_errors_do_not_kill_the_connection(self):
         async def scenario(server):
             reader, writer = await asyncio.open_connection(
@@ -714,3 +821,4 @@ class TestServeCLIRoundTrip:
             if server.poll() is None:
                 server.kill()
                 server.wait()
+            server.stdout.close()
