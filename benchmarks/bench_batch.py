@@ -21,10 +21,15 @@ parity-locked per-instance RNG constructions both paths must pay, so
 the smoke-width ratio (~4x, reported for transparency) measures the
 RNG floor rather than the engine. The standalone kernel benchmarks
 record how the sweep scales with batch width.
+
+``test_b1_view_overhead`` reports what a ``B = 1`` view pays to stack
+its one game, ``GameBatch.from_games([game])``, and one whole view,
+``all_pure_costs(game)``, on a (3, 3) game, in microseconds (``-s``).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from _timing import _timed
 from seed_baseline import seed_run_conjecture_campaign
@@ -36,7 +41,10 @@ from repro.batch import (
     batch_count_pure_nash,
     random_game_batch,
 )
+from repro.batch.poa import batch_all_pure_latencies
+from repro.generators.games import random_game
 from repro.generators.suites import GridCell, quick_conjecture_grid
+from repro.model.social import all_pure_costs
 from repro.util.rng import stable_seed
 
 QUICK_GRID = list(quick_conjecture_grid())
@@ -131,3 +139,33 @@ def test_one_pass_generation(benchmark):
     """Vectorised one-pass generation throughput (10k instances)."""
     batch = benchmark(lambda: random_game_batch(10_000, 4, 3, seed=9))
     assert len(batch) == 10_000
+
+
+def test_b1_view_overhead(report):
+    """Microseconds for ``GameBatch.from_games([game])`` and for one
+    ``B = 1`` view, ``all_pure_costs(game)``, on a (3, 3) game; no
+    timing gate. Asserts only that the view equals its batch kernel on
+    the validating constructor's batch."""
+    game = random_game(3, 3, seed=stable_seed(LABEL, "b1-view"))
+    checked = GameBatch(
+        game.weights[None],
+        game.capacities[None],
+        initial_traffic=game.initial_traffic[None],
+    )
+    sig, lat = all_pure_costs(game)
+    want_sig, want_lat = batch_all_pure_latencies(checked)
+    assert np.array_equal(sig, want_sig) and np.array_equal(lat, want_lat[0])
+
+    def per_call_us(fn, calls=200, repeats=20):
+        best = min(
+            _timed(lambda: [fn() for _ in range(calls)]) for _ in range(repeats)
+        )
+        return best / calls * 1e6
+
+    stack = per_call_us(lambda: GameBatch.from_games([game]))
+    view = per_call_us(lambda: all_pure_costs(game))
+    report.append(
+        f"[batch] B = 1 view on a (3, 3) game: GameBatch.from_games([game]) "
+        f"{stack:.1f} us, all_pure_costs(game) {view:.1f} us "
+        f"(best of 20 x 200 calls)"
+    )

@@ -40,22 +40,33 @@ lone request on an idle server) and ``B = 16``, for the four shapes of
 perfbench's serve mix, with its three largest parts beside it. It
 reports microseconds per stack and asserts only that each stack's
 replies equal the same games answered one at a time.
+
+``test_miss_window_trade`` shows what holding a window open while hits
+keep coming trades: a ``serve`` process, one connection with 64
+requests outstanding, 256 cached games at Zipf(1.1) popularity mixed
+once with 1% and once with 10% fresh games. It reports replies per
+second, games per flush and the p50/p99 latency of misses and of hits,
+and asserts only that every reply equals its game's in-process answer.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 from _timing import _timed
 
 from repro.batch.container import GameBatch
 from repro.batch.mixed import batch_fully_mixed_candidate
 from repro.batch.poa import batch_empirical_ratios
-from repro.runtime.store import canonical_loads
+from repro.runtime.store import canonical_dumps, canonical_loads
 from repro.service import (
     DynamicBatcher,
     EquilibriumRequest,
@@ -171,13 +182,13 @@ def test_sequential_burst(benchmark):
     assert len(results) == 32
 
 
-def _request_lines(count: int = 256) -> list[bytes]:
+def _request_lines(count: int = 256, tag: str = "line") -> list[bytes]:
     """*count* distinct ``solve`` lines cycling through the shapes, in
     the ``capacities`` spelling perfbench's serve workloads send."""
     lines = []
     for index in range(count):
         n, m = SHAPES[index % len(SHAPES)]
-        batch = GameBatch.from_seeds([stable_seed(LABEL, "line", n, m, index)], n, m)
+        batch = GameBatch.from_seeds([stable_seed(LABEL, tag, n, m, index)], n, m)
         message = {
             "op": "solve",
             "id": index,
@@ -357,3 +368,130 @@ def test_census_per_stack(report):
         "[service] solve census per shape stack, us (best of 100):\n"
         + "\n".join(rows)
     )
+
+
+#: The closed loop's depth: the server's default ``max_batch``.
+TRADE_DEPTH = 64
+#: Cached games the trade's requests draw from at Zipf(1.1) popularity.
+TRADE_POOL = 256
+TRADE_REQUESTS = 30_000
+
+
+def test_miss_window_trade(report):
+    """Replies per second, games per flush and the p50/p99 of misses and
+    of hits, for one connection with 64 requests outstanding against a
+    ``serve`` process, over a cached pool mixed with 1% and with 10%
+    fresh games; no timing gate. Every reply must equal its game's
+    in-process answer."""
+    rows = [_trade_row(share) for share in (0.01, 0.10)]
+    report.append(
+        f"[service] one connection, {TRADE_DEPTH} outstanding, "
+        f"{TRADE_REQUESTS} requests over {TRADE_POOL} cached games "
+        f"(Zipf 1.1) plus fresh ones, against a serve process:\n"
+        + "\n".join(rows)
+    )
+
+
+def _trade_row(share: float) -> str:
+    rng = np.random.default_rng(stable_seed(LABEL, "trade", int(share * 100)))
+    fresh = rng.random(TRADE_REQUESTS) < share
+    popularity = 1.0 / np.arange(1, TRADE_POOL + 1) ** 1.1
+    drawn = rng.choice(TRADE_POOL, size=TRADE_REQUESTS, p=popularity / popularity.sum())
+    games = np.where(fresh, TRADE_POOL + np.cumsum(fresh) - 1, drawn).tolist()
+    lines = _request_lines(TRADE_POOL + int(fresh.sum()), tag=f"trade-{share}")
+    bodies = [b", " + line[line.index(b'"weights"') :] + b"\n" for line in lines]
+    expected = [
+        b'"ok": true, "result": ' + canonical_dumps(response).encode() + b"}\n"
+        for response in solve_requests(
+            [EquilibriumRequest.from_payload(json.loads(line)) for line in lines]
+        )
+    ]
+    root = Path(__file__).resolve().parent.parent
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache-size", str(4 * len(lines))],
+        stdout=subprocess.PIPE,
+        text=True,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    try:
+        port = int(re.search(r":(\d+) ", server.stdout.readline()).group(1))
+        measured = asyncio.run(_closed_loop(port, bodies, expected, games, fresh))
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+    qps, per_flush, miss_ms, hit_ms = measured
+    return (
+        f"  {share:.0%} fresh: {qps:,.0f} replies/s, {per_flush:.1f} games "
+        f"per flush; misses p50 {_percentile(miss_ms, 0.50):.2f} ms, "
+        f"p99 {_percentile(miss_ms, 0.99):.2f} ms; hits p50 "
+        f"{_percentile(hit_ms, 0.50):.2f} ms, p99 {_percentile(hit_ms, 0.99):.2f} ms"
+    )
+
+
+async def _closed_loop(port, bodies, expected, games, fresh):
+    """Cache the pool (each game sent twice, so its line is memoised),
+    then keep :data:`TRADE_DEPTH` of *games*' requests outstanding on
+    one connection; every reply is checked against *expected*."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    buffer = b""
+
+    async def replies():
+        nonlocal buffer
+        while b"\n" not in buffer:
+            chunk = await reader.read(1 << 16)
+            assert chunk, "the server closed the connection"
+            buffer += chunk
+        done, _, buffer = buffer.rpartition(b"\n")
+        return done.split(b"\n")
+
+    async def control(op):
+        writer.write(b'{"op": "%s"}\n' % op.encode())
+        (reply,) = await replies()
+        return json.loads(reply)
+
+    for _ in range(2):
+        writer.write(b"".join(b'{"id": 0' + body for body in bodies[:TRADE_POOL]))
+        answered = 0
+        while answered < TRADE_POOL:
+            answered += len(await replies())
+    before = (await control("stats"))["stats"]
+    sent_at = [0.0] * len(games)
+    latency = [0.0] * len(games)
+    clock = time.perf_counter
+
+    def line(k):
+        sent_at[k] = clock()
+        return b'{"id": %d' % k + bodies[games[k]]
+
+    start = clock()
+    writer.write(b"".join(line(k) for k in range(TRADE_DEPTH)))
+    sent = answered = TRADE_DEPTH
+    answered = 0
+    while answered < len(games):
+        batch = await replies()
+        now = clock()
+        for reply in batch:
+            comma = reply.index(b", ", 7)
+            k = int(reply[7:comma])
+            latency[k] = now - sent_at[k]
+            assert reply[comma + 2 :] + b"\n" == expected[games[k]], k
+        answered += len(batch)
+        more = min(len(batch), len(games) - sent)
+        if more:
+            writer.write(b"".join(line(k) for k in range(sent, sent + more)))
+            sent += more
+    elapsed = clock() - start
+    after = (await control("stats"))["stats"]
+    await control("shutdown")
+    writer.close()
+    await writer.wait_closed()
+    flushes = after["batches"] - before["batches"]
+    per_flush = (after["batched_games"] - before["batched_games"]) / max(flushes, 1)
+    miss_ms = sorted(1e3 * t for t, f in zip(latency, fresh) if f)
+    hit_ms = sorted(1e3 * t for t, f in zip(latency, fresh) if not f)
+    return len(games) / elapsed, per_flush, miss_ms, hit_ms

@@ -103,11 +103,41 @@ class GameBatch:
     # ------------------------------------------------------------------ #
 
     @classmethod
+    def _adopt(
+        cls,
+        weights: np.ndarray,
+        capacities: np.ndarray,
+        initial_traffic: np.ndarray,
+    ) -> "GameBatch":
+        """A batch that holds these arrays themselves, marked read-only:
+        C-contiguous float64 ``(B, n)``, ``(B, n, m)`` and ``(B, m)``
+        arrays whose games were already validated (a game's, a request's
+        or another batch's). Nothing is copied or checked; the public
+        constructor is the one that refuses."""
+        batch = object.__new__(cls)
+        batch._weights = weights
+        batch._capacities = capacities
+        batch._initial_traffic = initial_traffic
+        for arr in (weights, capacities, initial_traffic):
+            arr.setflags(write=False)
+        return batch
+
+    @classmethod
     def from_games(cls, games: Sequence[UncertainRoutingGame]) -> "GameBatch":
-        """Stack existing game objects (all must share ``(n, m)``)."""
+        """Stack existing game objects (all must share ``(n, m)``).
+
+        A game's arrays are validated when it is built, so they are
+        adopted as they are: a single game's as ``[None]`` views, which
+        makes every ``B = 1`` view's batch free of copies.
+        """
         games = list(games)
         if not games:
             raise ModelError("from_games needs at least one game")
+        if len(games) == 1:
+            (g,) = games
+            return cls._adopt(
+                g.weights[None], g.capacities[None], g.initial_traffic[None]
+            )
         n, m = games[0].num_users, games[0].num_links
         for i, g in enumerate(games):
             if g.num_users != n or g.num_links != m:
@@ -115,10 +145,10 @@ class GameBatch:
                     f"game {i} has shape ({g.num_users}, {g.num_links}), "
                     f"batch has ({n}, {m})"
                 )
-        return cls(
+        return cls._adopt(
             np.stack([g.weights for g in games]),
             np.stack([g.capacities for g in games]),
-            initial_traffic=np.stack([g.initial_traffic for g in games]),
+            np.stack([g.initial_traffic for g in games]),
         )
 
     @classmethod
@@ -127,10 +157,11 @@ class GameBatch:
     ) -> "list[tuple[GameBatch, list[int]]]":
         """Stack heterogeneous-shape requests into per-shape sub-batches.
 
-        *requests* is any sequence of objects exposing ``weights``
-        ``(n,)``, ``capacities`` ``(n, m)`` and ``initial_traffic``
-        ``(m,)`` arrays — service queries, games, or other batches'
-        slices; shapes may differ between requests. Returns
+        *requests* is any sequence of objects exposing validated
+        float64 ``weights`` ``(n,)``, ``capacities`` ``(n, m)`` and
+        ``initial_traffic`` ``(m,)`` arrays — service queries, games, or
+        other batches' slices; shapes may differ between requests. Each
+        stack adopts its arrays without checking them again. Returns
         ``[(batch, indices), ...]`` where each batch stacks all the
         requests of one ``(n, m)`` shape (in arrival order) and
         ``indices`` maps its rows back to positions in *requests* —
@@ -152,12 +183,10 @@ class GameBatch:
             groups.setdefault(caps.shape, []).append(index)
         out: list[tuple[GameBatch, list[int]]] = []
         for indices in groups.values():
-            batch = cls(
+            batch = cls._adopt(
                 np.stack([requests[i].weights for i in indices]),
                 np.stack([requests[i].capacities for i in indices]),
-                initial_traffic=np.stack(
-                    [requests[i].initial_traffic for i in indices]
-                ),
+                np.stack([requests[i].initial_traffic for i in indices]),
             )
             out.append((batch, indices))
         return out

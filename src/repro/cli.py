@@ -25,9 +25,9 @@ Subcommands:
   then replay verdicts from the merged store with ``run/report
   --store ... --resume``.
 
-Each subcommand imports what it runs when it runs: ``digest`` and
-``merge`` load no NumPy, ``serve`` loads no experiment, and ``list``,
-``run`` and ``report`` load the experiment registry.
+Each subcommand imports what it runs when it runs: ``digest``,
+``merge`` and ``list`` load no NumPy, ``serve`` loads no experiment,
+and ``run`` and ``report`` load the experiment registry.
 
 Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
 verdict; the process exit code is non-zero when any experiment fails,
@@ -342,11 +342,11 @@ def _refuse_a_written_store(store: str, shard) -> None:
 
 
 def _cmd_list() -> int:
-    from repro.experiments.registry import EXPERIMENTS
+    from repro.experiments.titles import TITLES
 
-    width = max(len(k) for k in EXPERIMENTS)
-    for key, entry in EXPERIMENTS.items():
-        print(f"{key.ljust(width)}  {entry.title}")
+    width = max(len(k) for k in TITLES)
+    for key, title in TITLES.items():
+        print(f"{key.ljust(width)}  {title}")
     return 0
 
 

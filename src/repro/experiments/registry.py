@@ -24,6 +24,7 @@ from repro.experiments.mixed import (
     e7_specs, e8_specs, e9_specs,
     run_e7, run_e8, run_e9,
 )
+from repro.experiments.titles import TITLES
 from repro.runtime.spec import SweepSpec
 
 __all__ = [
@@ -53,43 +54,29 @@ class ExperimentEntry(NamedTuple):
     specs: SpecFactory
 
 
-#: Experiment id -> (title, runner, spec factory). Mirrors the
-#: DESIGN.md experiment index; tuple position 1 stays the runner for
-#: backward compatibility with ``EXPERIMENTS[eid][1]`` callers.
+#: Experiment id -> (runner, spec factory); the titles live in
+#: :mod:`repro.experiments.titles`, which ``list`` reads alone.
+_RUNNERS: dict[str, tuple[Runner, SpecFactory]] = {
+    "E1": (run_e1, e1_specs),
+    "E2": (run_e2, e2_specs),
+    "E3": (run_e3, e3_specs),
+    "E4": (run_e4, e4_specs),
+    "E5": (run_e5, e5_specs),
+    "E6": (run_e6, e6_specs),
+    "E7": (run_e7, e7_specs),
+    "E8": (run_e8, e8_specs),
+    "E9": (run_e9, e9_specs),
+    "E10": (run_e10, e10_specs),
+    "E11": (run_e11, e11_specs),
+    "E12": (run_e12, e12_specs),
+    "E13": (run_e13, e13_specs),
+}
+
+#: Experiment id -> (title, runner, spec factory), in the titles' order.
+#: Tuple position 1 stays the runner for backward compatibility with
+#: ``EXPERIMENTS[eid][1]`` callers.
 EXPERIMENTS: dict[str, ExperimentEntry] = {
-    "E1": ExperimentEntry("Figure 1 / Thm 3.3 — Atwolinks", run_e1, e1_specs),
-    "E2": ExperimentEntry("Figure 2 / Thm 3.5 — Asymmetric", run_e2, e2_specs),
-    "E3": ExperimentEntry("Figure 3 / Thm 3.6 — Auniform", run_e3, e3_specs),
-    "E4": ExperimentEntry("Section 3.1 — n=3 existence", run_e4, e4_specs),
-    "E5": ExperimentEntry(
-        "Section 3.2 — Conjecture 3.7 campaign", run_e5, e5_specs
-    ),
-    "E6": ExperimentEntry(
-        "Section 3.2 — no exact/ordinal potential", run_e6, e6_specs
-    ),
-    "E7": ExperimentEntry(
-        "Theorem 4.6 — FMNE closed form & uniqueness", run_e7, e7_specs
-    ),
-    "E8": ExperimentEntry(
-        "Theorem 4.8 — uniform beliefs => p=1/m", run_e8, e8_specs
-    ),
-    "E9": ExperimentEntry(
-        "Lemma 4.9 / Thms 4.11-4.12 — FMNE dominance", run_e9, e9_specs
-    ),
-    "E10": ExperimentEntry(
-        "Theorem 4.13 — PoA bound (uniform beliefs)", run_e10, e10_specs
-    ),
-    "E11": ExperimentEntry(
-        "Theorem 4.14 — PoA bound (general)", run_e11, e11_specs
-    ),
-    "E12": ExperimentEntry(
-        "[17] contrast — Milchtaich separation", run_e12, e12_specs
-    ),
-    "E13": ExperimentEntry(
-        "Fixed-point tier — certified NE beyond enumeration",
-        run_e13,
-        e13_specs,
-    ),
+    key: ExperimentEntry(title, *_RUNNERS[key]) for key, title in TITLES.items()
 }
 
 #: Global execution options every CLI invocation may carry. They are

@@ -74,9 +74,16 @@ class UncertainRoutingGame:
                 )
             if not np.all(np.isfinite(t)) or np.any(t < 0):
                 raise ModelError("initial_traffic must be finite and non-negative")
+        capacities = np.ascontiguousarray(beliefs.effective_capacities())
+        # A subnormal state capacity overflows its reciprocal, so a valid
+        # belief profile can still reduce to a zero or NaN capacity.
+        if not np.all(np.isfinite(capacities)) or np.any(capacities <= 0.0):
+            raise ModelError(
+                "effective capacities must be finite and strictly positive"
+            )
         self._weights = w
         self._beliefs = beliefs
-        self._capacities = np.ascontiguousarray(beliefs.effective_capacities())
+        self._capacities = capacities
         self._initial_traffic = t
         for arr in (self._weights, self._capacities, self._initial_traffic):
             arr.setflags(write=False)

@@ -444,18 +444,29 @@ def _nashify_records(batch: GameBatch) -> list[dict[str, Any] | None]:
     for result, indices in slices:
         if result is None:
             continue
-        for row, index in enumerate(indices):
+        for (
+            index, assignment, steps, sc1_before, sc1, sc2_before, sc2,
+            congestion_before, congestion,
+        ) in zip(
+            indices,
+            result.profiles.tolist(),
+            result.steps.tolist(),
+            result.sc1_before.tolist(),
+            result.sc1_after.tolist(),
+            result.sc2_before.tolist(),
+            result.sc2_after.tolist(),
+            result.max_congestion_before.tolist(),
+            result.max_congestion_after.tolist(),
+        ):
             records[index] = {
-                "assignment": result.profiles[row].tolist(),
-                "steps": int(result.steps[row]),
-                "sc1_before": float(result.sc1_before[row]),
-                "sc1": float(result.sc1_after[row]),
-                "sc2_before": float(result.sc2_before[row]),
-                "sc2": float(result.sc2_after[row]),
-                "max_congestion_before": float(
-                    result.max_congestion_before[row]
-                ),
-                "max_congestion": float(result.max_congestion_after[row]),
+                "assignment": assignment,
+                "steps": steps,
+                "sc1_before": sc1_before,
+                "sc1": sc1,
+                "sc2_before": sc2_before,
+                "sc2": sc2,
+                "max_congestion_before": congestion_before,
+                "max_congestion": congestion,
             }
     return records
 
@@ -496,9 +507,9 @@ def _answer_census(
     """Answer one same-shape stack of queries with one kernel pass.
 
     Returns one response dict per game, built only from JSON-native
-    values (``.tolist()``, ``float``, ``int``, ``bool``, ``None``), so
-    it encodes as it stands, with no round trip through
-    :func:`repro.runtime.store.canonical_payload`.
+    values: one ``.tolist()`` per result array of the stack, zipped per
+    game, and ``None``. So it encodes as it stands, with no round trip
+    through :func:`repro.runtime.store.canonical_payload`.
     """
     n, m = batch.num_users, batch.num_links
     fm = batch_fully_mixed_candidate(
@@ -511,40 +522,51 @@ def _answer_census(
     uniform = _uniform_beliefs_mask(batch.capacities)
 
     responses = []
-    for b in range(len(batch)):
-        fm_exists = bool(fm.exists[b])
-        num_equilibria = int(ratios.num_equilibria[b])
-        num_pure = num_equilibria - int(fm_exists)
-        response = {
-            "digest": digests[b],
+    for (
+        digest, nashify, fm_exists, probabilities, latencies, link_traffic,
+        opt1, opt2, general, uniform_bound, is_uniform, ratio_sc1, ratio_sc2,
+        num_equilibria,
+    ) in zip(
+        digests,
+        nash,
+        fm.exists.tolist(),
+        fm.probabilities.tolist(),
+        fm.latencies.tolist(),
+        fm.link_traffic.tolist(),
+        ratios.opt1.tolist(),
+        ratios.opt2.tolist(),
+        bound_general.tolist(),
+        bound_uniform.tolist(),
+        uniform.tolist(),
+        ratios.ratio_sc1.tolist(),
+        ratios.ratio_sc2.tolist(),
+        ratios.num_equilibria.tolist(),
+    ):
+        num_pure = num_equilibria - fm_exists
+        responses.append({
+            "digest": digest,
             "num_users": n,
             "num_links": m,
             "pure": {
                 "num_pure": num_pure,
                 "exists": num_pure > 0,
-                "nashify": nash[b],
+                "nashify": nashify,
             },
             "fully_mixed": {
                 "exists": fm_exists,
-                "probabilities": fm.probabilities[b].tolist(),
-                "latencies": fm.latencies[b].tolist(),
-                "link_traffic": fm.link_traffic[b].tolist(),
+                "probabilities": probabilities,
+                "latencies": latencies,
+                "link_traffic": link_traffic,
             },
-            "social": {
-                "opt1": float(ratios.opt1[b]),
-                "opt2": float(ratios.opt2[b]),
-            },
+            "social": {"opt1": opt1, "opt2": opt2},
             "poa": {
-                "bound_general": float(bound_general[b]),
-                "bound_uniform": (
-                    float(bound_uniform[b]) if bool(uniform[b]) else None
-                ),
-                "ratio_sc1": float(ratios.ratio_sc1[b]),
-                "ratio_sc2": float(ratios.ratio_sc2[b]),
+                "bound_general": general,
+                "bound_uniform": uniform_bound if is_uniform else None,
+                "ratio_sc1": ratio_sc1,
+                "ratio_sc2": ratio_sc2,
                 "num_equilibria": num_equilibria,
             },
-        }
-        responses.append(response)
+        })
     return responses
 
 
@@ -585,22 +607,26 @@ def _answer_fixpoint(
         max_rounds=max_rounds,
     )
     responses = []
-    for b in range(len(batch)):
-        converged = bool(result.converged[b])
-        response = {
-            "digest": digests[b],
+    for digest, converged, stalled, certified, rounds, residual, probabilities in zip(
+        digests,
+        result.converged.tolist(),
+        result.stalled.tolist(),
+        result.certified.tolist(),
+        result.rounds.tolist(),
+        result.residuals.tolist(),
+        result.probabilities.tolist(),
+    ):
+        responses.append({
+            "digest": digest,
             "num_users": batch.num_users,
             "num_links": batch.num_links,
             "converged": converged,
-            "stalled": bool(result.stalled[b]),
-            "certified": bool(result.certified[b]),
-            "rounds": int(result.rounds[b]),
-            "residual": float(result.residuals[b]),
-            "probabilities": (
-                result.probabilities[b].tolist() if converged else None
-            ),
-        }
-        responses.append(response)
+            "stalled": stalled,
+            "certified": certified,
+            "rounds": rounds,
+            "residual": residual,
+            "probabilities": probabilities if converged else None,
+        })
     return responses
 
 

@@ -34,20 +34,26 @@ Each connection is an :class:`asyncio.Protocol`. Every complete line in
 the bytes one read delivers is answered in that same callback, in
 order: a reply that is ready at once (a memo or cache hit, a control
 op, a refusal) joins a buffer that goes out in one write when the
-callback returns, and a miss's reply is written by the done-callback of
-its batcher future as soon as its window is solved. No line gets a
-task, a lock or a drain; when the transport's write buffer passes its
-high-water mark, the connection stops reading until it drains.
+callback returns. A miss's reply joins the same buffer when its batcher
+future is done; the done-callbacks of one window run together, so the
+replies of a window's misses go out to each connection in one write
+once the window is solved. No line gets a task, a lock or a drain;
+when the transport's write buffer passes its high-water mark, the
+connection stops reading until it drains.
 
-At the default ``max_delay_ms = 0`` a window stays open while games
-keep arriving: its timer checks it once per event-loop pass, a pass
-that added a game keeps it open, and the first pass that adds none
-flushes it. ``max_batch`` games flush it at once, and a lone request
-reaches the solver two passes after it was submitted. A positive
-``max_delay_ms`` holds each window open that long instead (see
-:mod:`repro.service.batcher`). So a pipelining connection hands its
+At the default ``max_delay_ms = 0`` a window stays open while requests
+keep arriving: its timer checks it once per event-loop pass, and a pass
+that added a game keeps it open. A pass that brought the batcher only
+other requests (cache hits, memo hits, ride-alongs) keeps it open too,
+until it has been open as long as the batcher's last solver call took.
+The first pass that brings neither flushes it. ``max_batch`` games
+flush it at once, and a lone request reaches the solver two passes
+after it was submitted. A positive ``max_delay_ms`` holds each window
+open that long instead (see :mod:`repro.service.batcher`). So a
+pipelining connection hands its
 :class:`~repro.service.batcher.DynamicBatcher` every game of a read at
-once, and the games of its next reads join the same window.
+once, and the games of its next reads join the same window, even when
+hits come between them.
 
 After the client half-closes, every line is still answered before the
 connection closes, and a final line without a newline is answered too.
@@ -216,7 +222,8 @@ class _Connection(asyncio.Protocol):
         self._partial = bytearray()
         #: Inside a line past :data:`MAX_LINE_BYTES`, dropping its bytes.
         self._discarding = False
-        #: Replies ready in this read, written together when it ends.
+        #: Replies ready, written together when the read's callback
+        #: ends, or, for misses, once their window's done-callbacks ran.
         self._ready: list[bytes] = []
         #: Lines whose replies wait for a batcher future.
         self._in_flight = 0
@@ -260,8 +267,6 @@ class _Connection(asyncio.Protocol):
         if self._partial or self._discarding:
             self._end_held_line(b"")
         self._write_ready()
-        if not self._in_flight:
-            self._transport.close()
         return True
 
     def pause_writing(self) -> None:
@@ -276,8 +281,7 @@ class _Connection(asyncio.Protocol):
         """Read no more lines; close once every line read is answered."""
         self._eof = True
         self._transport.pause_reading()
-        if not self._in_flight:
-            self._transport.close()
+        self._write_ready()
 
     def _hold(self, piece: bytes) -> None:
         """Keep *piece*, the start of a line, unless that line is
@@ -315,18 +319,26 @@ class _Connection(asyncio.Protocol):
         future.add_done_callback(functools.partial(self._answered, head))
 
     def _answered(self, head: bytes, future: asyncio.Future) -> None:
-        """Write a miss's reply as soon as its batcher future is done."""
+        """A miss's batcher future is done: its reply joins the buffer,
+        which goes out once the done-callbacks of its window have run."""
         self._in_flight -= 1
         if future.cancelled() or self._transport.is_closing():
             return
-        self._transport.write(_outcome(head, future))
-        if self._eof and not self._in_flight:
-            self._transport.close()
+        if not self._ready:
+            asyncio.get_running_loop().call_soon(self._write_ready)
+        self._ready.append(_outcome(head, future))
 
     def _write_ready(self) -> None:
+        """Write the replies ready so far in one write; once no more
+        lines will be read and none waits for its window, close."""
+        if self._transport.is_closing():
+            self._ready.clear()
+            return
         if self._ready:
             self._transport.write(b"".join(self._ready))
             self._ready.clear()
+        if self._eof and not self._in_flight:
+            self._transport.close()
 
 
 class EquilibriumServer:

@@ -30,6 +30,7 @@ from repro.equilibria.enumeration import (
 )
 from repro.errors import DimensionError, ModelError
 from repro.generators.games import random_game
+from repro.model.game import UncertainRoutingGame
 from repro.model.latency import deviation_latencies, pure_latencies
 from repro.model.profiles import loads_of
 from repro.model.social import enumerate_assignments
@@ -104,6 +105,39 @@ class TestGameBatch:
         batch, _ = make_batch(2, 2, 2)
         with pytest.raises(ValueError):
             batch.capacities[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_from_games_adopts_validated_arrays(self, count):
+        """Stacked games equal the validating constructor's batch, read
+        only; a single game's batch views the game's own arrays."""
+        games = [
+            random_game(3, 4, with_initial_traffic=True, seed=i)
+            for i in range(count)
+        ]
+        batch = GameBatch.from_games(games)
+        checked = GameBatch(
+            np.stack([g.weights for g in games]),
+            np.stack([g.capacities for g in games]),
+            initial_traffic=np.stack([g.initial_traffic for g in games]),
+        )
+        for name in ("weights", "capacities", "initial_traffic"):
+            got = getattr(batch, name)
+            assert np.array_equal(got, getattr(checked, name))
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            assert np.shares_memory(got, getattr(games[0], name)) == (count == 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_games_reducing_to_a_non_positive_capacity_are_refused(self):
+        """A subnormal state capacity overflows its reciprocal: the game
+        is refused when built, so no batch adopts its capacities."""
+        with pytest.raises(ModelError, match="effective capacities"):
+            UncertainRoutingGame.from_capacities(
+                [1.0, 2.0], [[1e-320, 1.0], [1.0, 1.0]]
+            )
+        with pytest.raises(ModelError, match="effective capacities"):
+            UncertainRoutingGame.kp([1.0, 2.0], [1e-320, 1.0])
 
 
 class TestBatchLatencyKernels:

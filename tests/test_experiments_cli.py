@@ -215,6 +215,24 @@ class TestRuntimeImports:
         if argv is None:
             assert loaded == "['repro', 'repro._lazy']"
 
+    def test_list_loads_no_numpy_and_no_runner(self, fresh_python):
+        """``list`` prints the registry's ids and titles from the titles
+        module alone: no NumPy, no registry, no runner."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['list']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('repro', 'numpy'))))\n"
+        )
+        lines = fresh_python(script).splitlines()
+        assert lines[-1] == (
+            "['repro', 'repro._lazy', 'repro.cli', 'repro.errors', "
+            "'repro.experiments', 'repro.experiments.titles']"
+        )
+        assert lines[:-1] == [
+            f"{key.ljust(3)}  {entry.title}" for key, entry in EXPERIMENTS.items()
+        ]
+
     def test_campaign_runs_import_nothing(self, tmp_path, fresh_python):
         """Importing the registry loads every runner and what it calls,
         so a campaign's timed runs (perfbench's ``campaign`` workload

@@ -149,6 +149,28 @@ class TestVerdict:
         with pytest.raises(ValueError):
             _verdict([], [])
 
+    def test_games_per_flush_is_each_sides_median_of_its_runs(self):
+        """A serve run's record carries batcher counters: the summary
+        gives each side's median ``batched_games / batches`` and judges
+        nothing by it; without counters (``campaign``) it says nothing."""
+
+        def with_counters(runs, per_flush):
+            return [
+                {**run, "counters": {"batched_games": 60 * g, "batches": 60}}
+                for run, g in zip(runs, per_flush)
+            ]
+
+        parent = with_counters(_runs(PARENT_S), [5.0, 5.5, 6.0, 6.5] * 2 + [5, 5])
+        change = with_counters(_runs(PARENT_S), [8.0] * 10)
+        summary = _verdict(parent, change)
+        assert summary["games_per_flush"] == {"parent": 5.5, "change": 8.0}
+        assert summary["gains"] == [] and summary["regressions"] == []
+        text = perf_ab.render(summary)
+        assert "games per flush (median): parent 5.50, change 8.00" in text
+        bare = _verdict(_runs(PARENT_S), _runs(PARENT_S))
+        assert "games_per_flush" not in bare
+        assert "games per flush" not in perf_ab.render(bare)
+
     def test_summary_is_json_and_renders(self):
         summary = _verdict(_runs(PARENT_S), _runs([s / 2 for s in PARENT_S]))
         assert json.loads(json.dumps(summary)) == summary
@@ -218,6 +240,20 @@ class TestCommandLine:
         assert entry["parent_commit"] == "parent"
         assert entry["fingerprint"] == {"cpu": "x"}
         assert entry["unresolved"] == [] and entry["gains"] == ["campaign_s"]
+
+    @pytest.mark.parametrize("counters", [None, {"batched_games": 12, "batches": 2}])
+    def test_a_runs_counters_come_from_its_record(self, tmp_path, monkeypatch, counters):
+        record = {"fingerprint": {"commit": "c"}}
+        if counters is not None:
+            record["counters"] = counters
+        stdout = f"record: {json.dumps(record)}\n{json.dumps(_runs([1.0])[0])}\n"
+        monkeypatch.setattr(
+            perf_ab.subprocess, "run",
+            lambda argv, **kwargs: perf_ab.subprocess.CompletedProcess(argv, 0, stdout, ""),
+        )
+        result = perf_ab.run_once(tmp_path, "serve-hot", 1, 25)
+        assert result.get("counters") == counters
+        assert perf_ab.games_per_flush([result]) == (None if counters is None else 6.0)
 
     @pytest.mark.parametrize(
         "extra", [["--workload", "serve-solve"], ["--workload", "campaign", "--seconds", "5"]]

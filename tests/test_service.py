@@ -454,6 +454,90 @@ class TestDynamicBatcher:
         for request, response in zip(requests, results):
             _check_differential(request, response)
 
+    #: A game the fake-clock scenarios solve first, so that it is cached
+    #: and the batcher has a last solve to bound its windows by.
+    WARM = _request("clock", 2, 2)
+
+    @classmethod
+    def _on_a_fake_clock(cls, arrivals, *, solve_s, step_s=0.0, passes=12):
+        """Drive a default batcher with a cache through *passes*
+        event-loop passes on a fake loop clock. Its solver advances the
+        clock by *solve_s* per call; the first call solves :attr:`WARM`.
+        Then a callback that runs once per pass advances the clock by
+        *step_s* and submits ``arrivals[p]`` on pass ``p``. Returns the
+        solver's later calls as ``(pass, window size)`` and the results
+        of the submitted requests."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            clock = 100.0
+            loop.time = lambda: clock
+            current, solved, futures = -1, [], []
+
+            def solver(window):
+                nonlocal clock
+                clock += solve_s
+                solved.append((current, len(window)))
+                return solve_requests(window)
+
+            batcher = DynamicBatcher(solver, cache=ResultCache(16))
+            await batcher.submit(cls.WARM)
+            solved.clear()
+
+            def tick():
+                nonlocal current, clock
+                current += 1
+                clock += step_s
+                for request in arrivals.get(current, ()):
+                    futures.append(batcher.submit(request))
+                if current < passes:
+                    loop.call_soon(tick)
+
+            tick()
+            while current < passes:
+                await asyncio.sleep(0)
+            results = await asyncio.gather(*futures)
+            await batcher.close()
+            return solved, results
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("between", ["hits", "ride-alongs"])
+    def test_default_holds_the_window_while_passes_bring_other_requests(
+        self, between
+    ):
+        """Under the defaults, passes that bring the batcher requests but
+        no game (cache hits, or requests for a game already waiting)
+        keep a window open while it is younger than the last solve: two
+        games three passes apart share one window, which flushes on the
+        first pass that brings nothing."""
+        first, second = (_request("between", 3, 3, i) for i in range(2))
+        other = self.WARM if between == "hits" else first
+        arrivals = {0: [first], 1: [other], 2: [other], 3: [second]}
+        solved, results = self._on_a_fake_clock(arrivals, solve_s=1.0)
+        assert solved == [(5, 2)]
+        expected = [first, other, other, second]
+        for request, response in zip(expected, results):
+            _check_differential(request, response)
+
+    @pytest.mark.parametrize(
+        "solve_s, flushed_on", [(0.0, 1), (0.5, 2), (1.0, 4)]
+    )
+    def test_a_window_held_by_hits_flushes_after_one_solve(
+        self, solve_s, flushed_on
+    ):
+        """A window that only cache hits hold open flushes while they
+        keep coming, on the first pass on which it has been open as long
+        as the last solver call took: each pass here advances the clock
+        by 0.25 s. A solve that took no time holds nothing."""
+        game = _request("held", 3, 3)
+        arrivals = {0: [game], **{p: [self.WARM] for p in range(1, 10)}}
+        solved, results = self._on_a_fake_clock(
+            arrivals, solve_s=solve_s, step_s=0.25
+        )
+        assert solved == [(flushed_on + 1, 1)]
+        _check_differential(game, results[0])
+
     def test_default_still_batches_what_arrives_together(self):
         requests = [_request("together", 3, 3, i) for i in range(5)]
 
@@ -635,6 +719,49 @@ class TestEquilibriumServer:
         assert stats["batched_games"] == len(requests)
         assert stats["batches"] < len(requests)
         by_id = {reply["id"]: reply["result"] for reply in replies}
+        for index, request in enumerate(requests):
+            _check_differential(request, by_id[index])
+
+    def test_the_misses_of_one_window_leave_in_one_write(self):
+        """K distinct games sent on one connection and solved in one
+        window: their K replies go out in one ``transport.write``."""
+        requests = [_request("one-write", 3, 3, index) for index in range(6)]
+        lines = b"".join(
+            canonical_dumps({"id": index, "op": "solve", **_payload(request)})
+            .encode("utf-8") + b"\n"
+            for index, request in enumerate(requests)
+        )
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                while not server._connections:
+                    await asyncio.sleep(0)
+                (connection,) = server._connections
+                transport = connection._transport
+                writes = []
+
+                def write(data, _write=transport.write):
+                    writes.append(data)
+                    _write(data)
+
+                transport.write = write
+                writer.write(lines)
+                replies = [await reader.readline() for _ in requests]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return writes, replies, server.stats()
+
+        writes, replies, stats = asyncio.run(_with_server(scenario))
+        assert stats["batches"] == 1
+        assert writes == [b"".join(replies)]
+        by_id = {
+            reply["id"]: reply["result"]
+            for reply in map(canonical_loads, (r.decode() for r in replies))
+        }
         for index, request in enumerate(requests):
             _check_differential(request, by_id[index])
 

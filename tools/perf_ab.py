@@ -25,7 +25,9 @@ pairs the change won, and the verdict against the metric's bound:
   run.
 
 A larger share of failed operations on the change's side is a
-``regression`` too, and it voids every gain.
+``regression`` too, and it voids every gain. For a serve workload the
+tool also prints each side's median games per flush (``batched_games /
+batches`` from each run record's batcher counters); it judges nothing.
 
 Both checkouts run in the same bytecode state: before the first pair,
 every ``__pycache__`` directory under their ``src/`` and ``perfbench/``
@@ -87,7 +89,8 @@ def run_env() -> dict[str, str]:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in *checkout*: its JSON result, plus the run
-    record's fingerprint under ``"fingerprint"``."""
+    record's fingerprint under ``"fingerprint"`` and, for a serve
+    workload, its batcher counters under ``"counters"``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -103,7 +106,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     record = json.loads(lines[-2].removeprefix("record: "))
     result["fingerprint"] = record.get("fingerprint", {})
+    if "counters" in record:
+        result["counters"] = record["counters"]
     return result
+
+
+def games_per_flush(runs: list[dict]) -> float | None:
+    """The median over *runs* of ``batched_games / batches`` from each
+    run's batcher counters; ``None`` when a run has no counters (the
+    ``campaign`` workload) or flushed nothing."""
+    counters = [run.get("counters") for run in runs]
+    if not all(c and c.get("batches") for c in counters):
+        return None
+    return statistics.median(c["batched_games"] / c["batches"] for c in counters)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -122,7 +137,8 @@ def verdict(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
     Each run is a ``run.py`` result: ``{"attempted", "failed",
     "metrics": {name: {"value", "unit"}}}``. Returns ``{"pairs",
     "metrics": {name: {...}}, "failed_frac": {...}, "regressions",
-    "unresolved", "gains"}``.
+    "unresolved", "gains"}``, plus ``"games_per_flush": {"parent",
+    "change"}`` when every run carries batcher counters.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs per side")
@@ -172,7 +188,7 @@ def verdict(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
         }
     if more_failures:
         regressions.append("failed_frac")
-    return {
+    summary = {
         "pairs": pairs,
         "metrics": metrics,
         "failed_frac": failed,
@@ -180,6 +196,13 @@ def verdict(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
         "unresolved": unresolved,
         "gains": gains,
     }
+    flushes = {
+        "parent": games_per_flush(parent),
+        "change": games_per_flush(change),
+    }
+    if None not in flushes.values():
+        summary["games_per_flush"] = flushes
+    return summary
 
 
 def render(summary: dict) -> str:
@@ -202,6 +225,12 @@ def render(summary: dict) -> str:
     lines.append(
         f"failed share: parent {failed['parent']:.4f}, change {failed['change']:.4f}"
     )
+    if "games_per_flush" in summary:
+        flushes = summary["games_per_flush"]
+        lines.append(
+            f"games per flush (median): parent {flushes['parent']:.2f}, "
+            f"change {flushes['change']:.2f}"
+        )
     lines.append(
         f"regressions: {', '.join(summary['regressions']) or 'none'}; "
         f"unresolved: {', '.join(summary['unresolved']) or 'none'}; "
